@@ -6,8 +6,8 @@ identity is (1, 0).  The same code runs over F_p, over Q, and over a
 single-generator number field; number-field runs guard against coefficient
 blow-up with a configurable digit ceiling.
 
-Everything is pure and immutable; order scans are internally sequential,
-but independent torsion decisions can run concurrently.
+Everything is pure and immutable; an order search over F_p is internally
+sequential, but independent torsion decisions can run concurrently.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime
+from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, small_divisors
 from tpe.curve import (
     AFFINE,
     CurvePoint,
@@ -201,31 +201,59 @@ def _fractions_of(c):
     return ()
 
 
+def class_group_interval(p: int, genus: int) -> tuple[int, int]:
+    """Integers lo <= #J(F_p) <= hi from the Hasse-Weil bounds
+    (sqrt(p) -+ 1)^(2g), rounded outward: with r = ceil(sqrt(p)),
+    lo = max(p + 1 - 2r, 0)^g and hi = (p + 1 + 2r)^g."""
+    r = math.isqrt(p)
+    if r * r < p:
+        r += 1
+    return max(p + 1 - 2 * r, 0) ** genus, (p + 1 + 2 * r) ** genus
+
+
 def class_group_bound(p: int, genus: int) -> int:
     """Integer upper bound for #J(F_p): (sqrt(p) + 1)^(2g), rounded up."""
-    s = math.isqrt(p)
-    if s * s < p:
-        s += 1
-    return (p + 2 * s + 1) ** genus
+    return class_group_interval(p, genus)[1]
 
 
 def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
-    """Exact order of a reduced class over F_p, by incremental addition.
+    """Exact order of a reduced class over F_p, by baby-step giant-step.
 
-    Some multiple of the order occurs within the Weil bound on #J(F_p), so
-    the first n with n*D = 0 is the order itself; exceeding the bound means
-    the inputs were inconsistent.
+    The Hasse-Weil interval lo <= #J(F_p) <= hi holds a multiple of the
+    order.  Baby steps j*D for j < s = isqrt(hi - lo) + 1 return any order
+    below s directly; giant steps lo*D + i*s*D meet a baby step at some
+    m = lo + i*s - j with m*D = 0, and the primes of m are stripped while
+    the cofactor still kills D.  Finding no m means the inputs were
+    inconsistent.
     """
     if not isinstance(jac.field, PrimeField):
         raise TypeError("divisor_order runs over a prime field")
-    bound = class_group_bound(jac.field.p, jac.genus)
-    # linear scan; swap in baby-step giant-step if curves outgrow desk scale
+    lo, hi = class_group_interval(jac.field.p, jac.genus)
+    s = math.isqrt(hi - lo) + 1
+    zero = jac.identity
+    baby = {zero: 0}
     acc = D
-    for n in range(1, bound + 1):
-        if acc == jac.identity:
-            return n
+    for j in range(1, s):
+        if acc == zero:
+            return j
+        baby[acc] = j
         acc = jac.add(acc, D)
-    raise RuntimeError("order scan exceeded the class-group bound")
+    # the order is at least s, so the baby steps are distinct; acc = s*D
+    giant = jac.mul(lo, D)
+    for i in range(s + 1):
+        j = baby.get(giant)
+        if j is not None and lo + i * s > j:
+            m = lo + i * s - j
+            break
+        giant = jac.add(giant, acc)
+    else:
+        raise RuntimeError("order search exceeded the class-group bound")
+    # a cofactor below s is not a multiple of the order: skip it unmultiplied
+    for q in small_divisors(m):
+        if is_prime(q):
+            while m % q == 0 and m // q >= s and jac.mul(m // q, D) == zero:
+                m //= q
+    return m
 
 
 def reduce_divisor(
@@ -281,7 +309,7 @@ def torsion_decide(
 
     At an odd, completely split prime of good reduction, reduction is
     injective on the torsion subgroup, so a torsion class has the same order
-    n as its reduction.  The procedure finds n over F_p by scanning, then
+    n as its reduction.  The procedure finds n over F_p (divisor_order), then
     checks n*D = 0 exactly over the number field: success certifies torsion
     of exact order n, failure refutes torsion outright.  Zero divisors or a
     breached height ceiling yield Undecidable.

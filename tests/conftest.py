@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles kept deliberately separate from the
 implementation paths they check (Sylvester determinants for resultants,
-brute-force point counts, enumeration square roots)."""
+brute-force point counts, enumeration square roots, linear order scans and
+enumerated Jacobian orders)."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 from tpe.algebra import Poly, QQ, legendre_symbol
 from tpe.curve import CurvePoint, ReducedPoint
-from tpe.jacobian import Jacobian
+from tpe.jacobian import Jacobian, class_group_bound
 
 
 def qp(*coeffs) -> Poly:
@@ -100,3 +101,49 @@ def random_reduced_class(jac: Jacobian, rng: random.Random):
 
     D = jac.embed(random_point())
     return jac.add(D, jac.embed(random_point()))
+
+
+def linear_order(jac: Jacobian, D) -> int:
+    """Order of a class over F_p by one Cantor addition per step until the
+    identity: the linear scan that baby-step giant-step replaced."""
+    zero = jac.identity
+    acc = D
+    for n in range(1, class_group_bound(jac.field.p, jac.genus) + 1):
+        if acc == zero:
+            return n
+        acc = jac.add(acc, D)
+    raise AssertionError("no order within the class-group bound")
+
+
+def mumford_classes(f: list[int], p: int, genus: int) -> list[tuple[list[int], list[int]]]:
+    """Every element of J(F_p) for y^2 = f(x) of odd degree, as the reduced
+    Mumford pairs (u, v): u monic with deg u <= genus, deg v < deg u and
+    u | v^2 - f.  Polynomials are low-to-high int lists mod p."""
+
+    def rem(a: list[int], u: list[int]) -> list[int]:
+        a = [c % p for c in a]
+        d = len(u) - 1
+        for top in range(len(a) - 1, d - 1, -1):
+            c = a[top]
+            for i, ui in enumerate(u):
+                a[top - d + i] = (a[top - d + i] - c * ui) % p
+        return a[:d]
+
+    def polys(length: int):
+        for k in range(p**length):
+            yield [(k // p**i) % p for i in range(length)]
+
+    out = []
+    for d in range(genus + 1):
+        for low in polys(d):
+            u = low + [1]
+            for v in polys(d):
+                sq = [0] * max(2 * d - 1, len(f))
+                for i, a in enumerate(v):
+                    for j, b in enumerate(v):
+                        sq[i + j] += a * b
+                for i, c in enumerate(f):
+                    sq[i] -= c
+                if not any(rem(sq, u)):
+                    out.append((u, v))
+    return out

@@ -3,18 +3,22 @@ and reduction compatibility."""
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from conftest import qp, random_reduced_class
+from conftest import linear_order, mumford_classes, qp, random_reduced_class
+from tpe.algebra import Poly, is_prime, small_divisors
 from tpe.curve import CurvePoint, ReducedPoint, make_curve, reduce_point
 from tpe.jacobian import (
     CertifiedTorsion,
     HeightLimitExceeded,
     Jacobian,
+    MumfordDivisor,
     NotTorsion,
     Undecidable,
     class_group_bound,
+    class_group_interval,
     divisor_order,
     reduce_divisor,
     torsion_decide,
@@ -135,6 +139,77 @@ def test_class_group_bound_dominates():
         bound = class_group_bound(p, 2)
         for _ in range(25):
             assert divisor_order(jac, random_reduced_class(jac, rng)) <= bound
+
+
+# odd models with good reduction at every prime in ORACLE_PRIMES; the genus-2
+# curve has #J(F_3) = 29 and #J(F_5) = 26, so classes of order above the
+# baby-step count exist where the Hasse-Weil lower bound is 0
+ORACLE_CURVES = {1: [1, 1, 0, 1], 2: [1, 2, 0, 0, 0, 1], 3: [2, 1, 0, 0, 0, 0, 0, 1]}
+ORACLE_PRIMES = (3, 5, 7, 11, 13, 19, 23)
+
+
+def _oracle_jacobian(genus: int, p: int) -> Jacobian:
+    return Jacobian.over_prime_field(make_curve(qp(*ORACLE_CURVES[genus]), allow_low_genus=True), p)
+
+
+@pytest.mark.parametrize("genus", (1, 2, 3))
+def test_divisor_order_matches_linear_scan(genus):
+    rng = random.Random(71 + genus)
+    f = ORACLE_CURVES[genus]
+    lo_zero, above = set(), set()  # primes with lo = 0; with an order above s
+    for p in ORACLE_PRIMES:
+        jac = _oracle_jacobian(genus, p)
+        roots = [a for a in range(p) if sum(c * a**i for i, c in enumerate(f)) % p == 0]
+        for W in [jac.embed(ReducedPoint("affine", x=a, y=0)) for a in roots]:
+            assert linear_order(jac, W) == divisor_order(jac, W) == 2
+        assert linear_order(jac, jac.identity) == divisor_order(jac, jac.identity) == 1
+        # a genus-3 linear scan at p = 19 or 23 runs to orders near 5000 and
+        # takes seconds per class, so random genus-3 classes stop at p = 13
+        classes = [random_reduced_class(jac, rng) for _ in range(0 if genus == 3 and p > 13 else 2)]
+        lo, hi = class_group_interval(p, genus)
+        if lo == 0:
+            lo_zero.add(p)
+            if genus < 3:  # every class, orders equal to s too
+                classes += [
+                    MumfordDivisor(Poly(jac.field, u), Poly(jac.field, v))
+                    for u, v in mumford_classes(f, p, genus)
+                ]
+        for D in classes:
+            n = linear_order(jac, D)
+            assert divisor_order(jac, D) == n, (p, D)
+            if n > isqrt(hi - lo) + 1:
+                above.add(p)
+    assert lo_zero == {3, 5} and above - lo_zero
+    if genus < 3:
+        assert lo_zero <= above
+
+
+@pytest.mark.parametrize("genus, p", [(g, p) for g in (1, 2) for p in (3, 5, 7, 11)])
+def test_class_group_interval_holds_enumerated_order(genus, p):
+    """#J(F_p) from every reduced Mumford pair lies in the Hasse-Weil
+    interval, and the order of each class divides it."""
+    jac = _oracle_jacobian(genus, p)
+    classes = mumford_classes(ORACLE_CURVES[genus], p, genus)
+    lo, hi = class_group_interval(p, genus)
+    assert lo <= len(classes) <= hi == class_group_bound(p, genus)
+    rng = random.Random(73)
+    for u, v in rng.sample(classes, min(len(classes), 24)):
+        D = MumfordDivisor(Poly(jac.field, u), Poly(jac.field, v))
+        assert jac.on_jacobian(D)
+        assert len(classes) % divisor_order(jac, D) == 0
+
+
+@pytest.mark.parametrize("p, point, order", [(101, (1, 45), 11978), (1009, (0, 149), 336238)])
+def test_divisor_order_certificate_at_large_p(p, point, order):
+    """n*D = 0 and (n/q)*D != 0 for every prime q | n make n the exact order;
+    orders this large were out of reach of the linear scan in tests."""
+    jac = Jacobian.over_prime_field(make_curve(qp(3, 1, 0, 0, 0, 1)), p)
+    D = jac.embed(ReducedPoint("affine", x=point[0], y=point[1]))
+    n = divisor_order(jac, D)
+    assert n == order <= class_group_bound(p, 2)
+    assert jac.mul(n, D) == jac.identity
+    for q in filter(is_prime, small_divisors(n)):
+        assert jac.mul(n // q, D) != jac.identity
 
 
 def test_torsion_decide_certified():
