@@ -9,7 +9,6 @@ points.  Everything is exact: no floats anywhere.
 """
 
 from tpe.algebra import (
-    FpElt,
     NonIntegralError,
     Poly,
     PrimeField,

@@ -1,8 +1,10 @@
 """Exact arithmetic kernels: integers, rationals, dense polynomials, prime fields.
 
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator),
-polynomials are dense coefficient tuples over an explicit coefficient field,
-and F_p elements carry their field so the polynomial code is field-generic.
+F_p elements are plain ints in [0, p), and polynomials are dense coefficient
+tuples over an explicit coefficient domain.  Every domain offers the same
+small ring interface (zero, one, coerce, div), so one polynomial class serves
+Q, F_p and number-field towers; the domain, not the element, knows p.
 All values are immutable and every operation is pure.
 """
 
@@ -12,6 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 Rational = Fraction
 
@@ -108,12 +111,8 @@ def integer_power_classification(d: int) -> PowerProfile:
     return PowerProfile(tenth_free, square, fifth)
 
 
-def legendre_symbol(a, p: int) -> int:
+def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p, via a^((p-1)/2) mod p."""
-    if isinstance(a, FpElt):
-        if a.field.p != p:
-            raise ValueError("modulus mismatch")
-        a = a.value
     a %= p
     if a == 0:
         return 0
@@ -153,6 +152,9 @@ class RationalDomain:
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
 
+    def div(self, a: Fraction, b: Fraction) -> Fraction:
+        return a / b
+
     def __repr__(self) -> str:
         return "QQ"
 
@@ -166,122 +168,39 @@ class RationalDomain:
 QQ = RationalDomain()
 
 
-class FpElt:
-    """An element of F_p; arithmetic via overloaded operators."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: "PrimeField", value: int):
-        self.field = field
-        self.value = value % field.p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElt):
-            if other.field.p != self.field.p:
-                raise ValueError("modulus mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.coerce(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElt(self.field, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElt(self.field, self.value - o.value)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElt(self.field, o.value - self.value)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FpElt(self.field, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.value == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElt(self.field, self.value * pow(o.value, -1, self.field.p))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return FpElt(self.field, -self.value)
-
-    def __pow__(self, e: int):
-        return FpElt(self.field, pow(self.value, e, self.field.p))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.field.p
-        return (
-            isinstance(other, FpElt)
-            and other.field.p == self.field.p
-            and other.value == self.value
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
 class PrimeField:
-    """F_p for an odd prime p, usable as a Poly coefficient domain."""
+    """F_p for an odd prime p, usable as a Poly coefficient domain.
 
-    __slots__ = ("p", "zero", "one")
+    Elements are plain ints in [0, p); `coerce` reduces ints and p-integral
+    rationals into that range, so Poly arithmetic may leave its intermediate
+    sums and products unreduced."""
+
+    __slots__ = ("p",)
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p == 2 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
         self.p = p
-        self.zero = FpElt(self, 0)
-        self.one = FpElt(self, 1)
 
-    def coerce(self, value) -> FpElt:
-        if isinstance(value, FpElt):
-            if value.field.p != self.p:
-                raise ValueError("modulus mismatch")
-            return value
+    def coerce(self, value) -> int:
         if isinstance(value, int):
-            return FpElt(self, value)
+            return value % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise NonIntegralError(
                     f"denominator {value.denominator} divisible by {self.p}"
                 )
-            return FpElt(
-                self, value.numerator * pow(value.denominator, -1, self.p)
-            )
+            return value.numerator * pow(value.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
-    def element(self, value: int) -> FpElt:
-        return FpElt(self, value)
+    def div(self, a: int, b: int) -> int:
+        p = self.p
+        if b % p == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return a * pow(b, -1, p) % p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -302,13 +221,15 @@ class Poly:
 
     The zero polynomial has an empty coefficient tuple and degree -1.
     Coefficients live in an explicit domain (QQ, PrimeField, TowerSpec)
-    whose elements support +, -, * and, where the domain is a field, /.
+    whose elements support +, - and *; the domain supplies zero, one,
+    `coerce` (which also reduces F_p ints into [0, p)) and `div`.  Polys over
+    different domains, such as F_7 and F_11, never combine.
     """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = [field.coerce(c) for c in coeffs]
+        cs = list(map(field.coerce, coeffs))
         while cs and cs[-1] == field.zero:
             cs.pop()
         self.field = field
@@ -358,10 +279,8 @@ class Poly:
 
     def __add__(self, other):
         other = self._as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            self.field, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self.field.zero)
+        return Poly(self.field, [a + b for a, b in pairs])
 
     __radd__ = __add__
 
@@ -369,7 +288,9 @@ class Poly:
         return Poly(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._as_poly(other))
+        other = self._as_poly(other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=self.field.zero)
+        return Poly(self.field, [a - b for a, b in pairs])
 
     def __rsub__(self, other):
         return self._as_poly(other) - self
@@ -382,12 +303,13 @@ class Poly:
             raise ValueError("coefficient domain mismatch")
         if self.is_zero or other.is_zero:
             return Poly(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        zero = self.field.zero
+        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == self.field.zero:
+            if a == zero:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+                out[i + j] += a * b
         return Poly(self.field, out)
 
     __rmul__ = __mul__
@@ -430,10 +352,10 @@ class Poly:
             return Poly(field), self
         quo = [field.zero] * (dq + 1)
         for i in range(dq, -1, -1):
-            top = rem[i + other.degree]
+            top = field.coerce(rem[i + other.degree])
             if top == field.zero:
                 continue
-            c = top if monic_div else top / lead
+            c = top if monic_div else field.div(top, lead)
             quo[i] = c
             for j, b in enumerate(other.coeffs):
                 rem[i + j] = rem[i + j] - c * b
@@ -457,7 +379,7 @@ class Poly:
         lead = self.leading
         if lead == self.field.one:
             return self
-        return Poly(self.field, [c / lead for c in self.coeffs])
+        return Poly(self.field, [self.field.div(c, lead) for c in self.coeffs])
 
     def derivative(self) -> "Poly":
         return Poly(
@@ -485,8 +407,7 @@ class Poly:
             t0, t1 = t1, t0 - q * t1
         if a.is_zero:
             return a, s0, t0
-        lead = a.leading
-        inv = field.one / lead
+        inv = field.div(field.one, a.leading)
         return a * inv, s0 * inv, t0 * inv
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
@@ -508,7 +429,7 @@ class Poly:
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return self.field.coerce(acc)
 
     def map_domain(self, field) -> "Poly":
         """Re-coerce all coefficients into another domain."""
@@ -562,19 +483,24 @@ def resultant(f: Poly, g: Poly):
             return field.zero
         if (a.degree * b.degree) % 2 == 1:
             sign = -sign
-        res = res * b.leading ** (a.degree - r.degree)
+        res = field.coerce(res * b.leading ** (a.degree - r.degree))
         a, b = b, r
-    res = res * b.leading ** a.degree
-    return res if sign == 1 else -res
+    res = field.coerce(res * b.leading ** a.degree)
+    return res if sign == 1 else field.coerce(-res)
 
 
 def discriminant(f: Poly):
-    """disc(f) = (-1)^(n(n-1)/2) * res(f, f') / lc(f), for deg f >= 2."""
+    """disc(f) = (-1)^(n(n-1)/2) * res(f, f') / lc(f), for deg f >= 2.
+
+    res is taken with f' at its formal degree n - 1: over F_p with p | n the
+    degree of f' drops, and res(f, f') then lacks lc(f)^(n - 1 - deg f')."""
     n = f.degree
     if n < 2:
         raise ValueError("discriminant requires degree >= 2")
-    d = resultant(f, f.derivative()) / f.leading
-    return -d if (n * (n - 1) // 2) % 2 else d
+    df = f.derivative()
+    res = f.field.coerce(resultant(f, df) * f.leading ** (n - 1 - df.degree))
+    d = f.field.div(res, f.leading)
+    return f.field.coerce(-d) if (n * (n - 1) // 2) % 2 else d
 
 
 def is_squarefree(f: Poly) -> bool:
@@ -596,6 +522,15 @@ def reduce_poly_mod_p(f: Poly, p: int) -> Poly:
     return Poly(field, [field.coerce(c) for c in f.coeffs])
 
 
+def horner_mod_p(coeffs, x: int, p: int) -> int:
+    """Value in [0, p) at x of the polynomial with int coefficients `coeffs`
+    (lowest degree first), by Horner's rule reduced at every step."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def roots_mod_p(g: Poly) -> list[int]:
     """All roots of g in F_p, by full enumeration; g over a PrimeField."""
     if not isinstance(g.field, PrimeField):
@@ -603,15 +538,7 @@ def roots_mod_p(g: Poly) -> list[int]:
     if g.degree < 1:
         raise ValueError("roots_mod_p requires degree >= 1")
     p = g.field.p
-    cs = [c.value for c in g.coeffs]
-    roots = []
-    for a in range(p):
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            roots.append(a)
-    return roots
+    return [a for a in range(p) if horner_mod_p(g.coeffs, a, p) == 0]
 
 
 def splits_completely_mod_p(g: Poly, p: int) -> bool:

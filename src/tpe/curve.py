@@ -16,6 +16,7 @@ from tpe.algebra import (
     Poly,
     QQ,
     discriminant,
+    horner_mod_p,
     is_prime,
     is_squarefree,
     legendre_symbol,
@@ -98,17 +99,13 @@ def count_points_mod_p(curve: HyperellipticCurve, p: int) -> int:
     if not has_good_reduction(curve, p):
         raise ValueError(f"bad reduction at {p}")
     fp = reduce_poly_mod_p(curve.f, p)
-    cs = [c.value for c in fp.coeffs]
     total = 0
     for x in range(p):
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * x + c) % p
-        total += 1 + legendre_symbol(acc, p)
+        total += 1 + legendre_symbol(horner_mod_p(fp.coeffs, x, p), p)
     if curve.odd_model:
         total += 1
     else:
-        total += 2 if legendre_symbol(cs[-1], p) == 1 else 0
+        total += 2 if legendre_symbol(fp.leading, p) == 1 else 0
     return total
 
 
@@ -241,7 +238,7 @@ def reduce_point(
     xb = reduce_element(point.x, w)
     yb = reduce_element(point.y, w)
     fp = reduce_poly_mod_p(curve.f, p)
-    if (yb * yb - int(fp(fp.field.element(xb)))) % p != 0:
+    if (yb * yb - horner_mod_p(fp.coeffs, xb, p)) % p != 0:
         raise ValueError("reduced point violates the reduced curve equation")
     return ReducedPoint(AFFINE, x=xb, y=yb)
 

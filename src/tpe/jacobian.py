@@ -267,7 +267,7 @@ def reduce_divisor(
     field = target.field
 
     def red(poly: Poly) -> Poly:
-        return Poly(field, [field.element(reduce_element(c, w)) for c in poly.coeffs])
+        return Poly(field, [reduce_element(c, w) for c in poly.coeffs])
 
     out = MumfordDivisor(red(D.u), red(D.v))
     if not target.on_jacobian(out):
@@ -327,8 +327,7 @@ def torsion_decide(
     for i, (name, relation) in enumerate(tower.generators):
         if not splits_completely_mod_p(relation, p):
             raise ValueError(f"p = {p} does not split completely ({name})")
-        rp = relation.map_domain(PrimeField(p))
-        if int(rp(rp.field.element(place.residues[i]))) != 0:
+        if relation.map_domain(PrimeField(p))(place.residues[i]) != 0:
             raise ValueError(f"residue for {name!r} is not a root mod {p}")
     if not on_curve(point, curve):
         raise ValueError("point is not on the curve")

@@ -120,6 +120,9 @@ class TowerSpec:
             return self.rational(value)
         raise TypeError(f"cannot coerce {value!r} into tower ring")
 
+    def div(self, a: "TowerElement", b: "TowerElement") -> "TowerElement":
+        return a * tower_invert(b)
+
     def _power_table(self, i: int, e: int) -> tuple:
         """Coefficient vector of t_i^e reduced mod m_i, for d_i <= e <= 2d_i-2."""
         if self._pow_tables is None:

@@ -85,9 +85,10 @@ def sqrt_mod(a: int, p: int):
 
 
 def random_reduced_class(jac: Jacobian, rng: random.Random):
-    """A random divisor class: the sum of two random point classes."""
+    """A random nonzero divisor class: the sum of two random point classes,
+    drawn again while that sum is the identity."""
     p = jac.field.p
-    cs = [c.value for c in jac.f.coeffs]
+    cs = jac.f.coeffs
 
     def random_point():
         while True:
@@ -99,8 +100,10 @@ def random_reduced_class(jac: Jacobian, rng: random.Random):
             if y is not None:
                 return ReducedPoint("affine", x=x, y=rng.choice([y, (-y) % p]))
 
-    D = jac.embed(random_point())
-    return jac.add(D, jac.embed(random_point()))
+    while True:
+        D = jac.add(jac.embed(random_point()), jac.embed(random_point()))
+        if D != jac.identity:
+            return D
 
 
 def linear_order(jac: Jacobian, D) -> int:

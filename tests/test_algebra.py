@@ -2,6 +2,7 @@
 splitting tests.  Expected values are either immediate or frozen from the
 independent oracles in conftest."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -217,15 +218,75 @@ def test_rational_roots():
 
 def test_prime_field_arithmetic():
     field = PrimeField(11)
-    a, b = field.element(7), field.element(9)
-    assert (a + b).value == 5
-    assert (a * b).value == 8
-    assert (a / b) * b == a
-    assert (-a).value == 4
-    assert a ** 10 == field.one
+    a, b = field.coerce(7), field.coerce(9)
+    assert field.coerce(a + b) == 5
+    assert field.coerce(a * b) == 8
+    assert field.coerce(field.div(a, b) * b) == a
+    assert field.coerce(-a) == 4
+    assert Poly.const(field, a) ** 10 == Poly.const(field, field.one)  # Fermat
+    assert field.coerce(Fraction(3, 4)) == 9  # 4 * 9 = 36 = 3 mod 11
     with pytest.raises(ValueError):
         PrimeField(10)
     with pytest.raises(ValueError):
         PrimeField(2)
     with pytest.raises(NonIntegralError):
         field.coerce(Fraction(1, 11))
+
+
+def test_prime_field_refuses_mixed_moduli_and_zero_division():
+    # F_p elements are plain ints, so a modulus mix-up is refused by the
+    # domain checks of Poly, not by the elements
+    f7, f11 = reduce_poly_mod_p(qp(1, 2, 3), 7), reduce_poly_mod_p(qp(1, 2, 3), 11)
+    assert f7.coeffs == f11.coeffs and f7 != f11
+    for op in (operator.add, operator.sub, operator.mul, divmod, Poly.gcd, Poly.xgcd, resultant):
+        with pytest.raises(ValueError):
+            op(f7, f11)
+    field = PrimeField(7)
+    for zero in (0, 14, -7):
+        with pytest.raises(ZeroDivisionError):
+            field.div(3, zero)
+    with pytest.raises(ZeroDivisionError):
+        divmod(f7, Poly(field))
+    with pytest.raises(NonIntegralError):
+        field.coerce(Fraction(1, 7))
+    assert field.coerce(-1) == 6 and field.div(-1, 3) == 2  # 3 * 2 = -1 mod 7
+
+
+def test_fp_poly_ops_match_q_reduced():
+    """Each F_p operation on reductions equals the same operation over Q
+    (Fraction arithmetic, the independent side), reduced mod p, whenever the
+    leading coefficients are units mod p."""
+    rng = random.Random(31)
+
+    def rand_poly(max_deg):
+        return qp(*[rng.randrange(-9, 10) for _ in range(rng.randrange(1, max_deg + 2))])
+
+    gcd_checked = nontrivial = 0
+    for _ in range(400):
+        p = rng.choice((3, 5, 7, 11, 13))
+        field = PrimeField(p)
+        common = rand_poly(2)
+        a, b = rand_poly(5) * common, rand_poly(3) * common
+        ap, bp = reduce_poly_mod_p(a, p), reduce_poly_mod_p(b, p)
+        assert ap * bp == reduce_poly_mod_p(a * b, p)
+        assert ap - bp == reduce_poly_mod_p(a - b, p)
+        if a.is_zero or b.is_zero or ap.degree != a.degree or bp.degree != b.degree:
+            continue
+        q, r = divmod(a, b)
+        assert divmod(ap, bp) == (reduce_poly_mod_p(q, p), reduce_poly_mod_p(r, p))
+        assert bp.monic() == reduce_poly_mod_p(b.monic(), p)
+        g, s, t = ap.xgcd(bp)
+        assert s * ap + t * bp == g == ap.gcd(bp)
+        assert g.leading == 1 and (ap % g).is_zero and (bp % g).is_zero
+        assert resultant(ap, bp) == field.coerce(resultant(a, b))
+        if a.degree >= 2:
+            assert discriminant(ap) == field.coerce(discriminant(a))
+        # gcd commutes with reduction exactly when the cofactors stay coprime
+        G = a.gcd(b)
+        Gp = reduce_poly_mod_p(G, p)
+        assert (g % Gp).is_zero
+        if field.coerce(resultant(a.exact_div(G), b.exact_div(G))) != 0:
+            assert g == Gp
+            gcd_checked += 1
+            nontrivial += G.degree > 0
+    assert gcd_checked >= 100 and nontrivial >= 50

@@ -166,7 +166,7 @@ def test_weierstrass_count_on_odd_models():
         fp = reduce_poly_mod_p(f, p)
         fixed = 0
         for x in range(p):
-            fx = int(fp(fp.field.element(x)))
+            fx = fp(x)
             for y in range(p):
                 if y * y % p == fx and y == (-y) % p:
                     fixed += 1

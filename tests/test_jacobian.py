@@ -1,6 +1,7 @@
 """Cantor arithmetic: group axioms, orders, the torsion decision procedure,
 and reduction compatibility."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
@@ -8,7 +9,7 @@ from math import isqrt
 import pytest
 
 from conftest import linear_order, mumford_classes, qp, random_reduced_class
-from tpe.algebra import Poly, is_prime, small_divisors
+from tpe.algebra import NonIntegralError, Poly, is_prime, small_divisors
 from tpe.curve import CurvePoint, ReducedPoint, make_curve, reduce_point
 from tpe.jacobian import (
     CertifiedTorsion,
@@ -41,7 +42,7 @@ def test_embed_examples():
     assert D.u == lift_poly(qp(0, 1), QTRIV) and D.v == lift_poly(qp(3), QTRIV)
     j11 = Jacobian.over_prime_field(C1, 11)
     W = j11.embed(ReducedPoint("affine", x=10, y=0))
-    assert [c.value for c in W.u.coeffs] == [1, 1]  # x - 10 = x + 1 mod 11
+    assert list(W.u.coeffs) == [1, 1]  # x - 10 = x + 1 mod 11
 
 
 def test_embed_rejects_even_model():
@@ -197,6 +198,65 @@ def test_class_group_interval_holds_enumerated_order(genus, p):
         D = MumfordDivisor(Poly(jac.field, u), Poly(jac.field, v))
         assert jac.on_jacobian(D)
         assert len(classes) % divisor_order(jac, D) == 0
+
+
+@pytest.mark.parametrize("genus, p", [(g, p) for g in (1, 2) for p in (3, 5, 7)])
+def test_group_axioms_over_enumerated_classes(genus, p):
+    """Against every reduced Mumford pair of J(F_p): sums of sampled classes
+    stay in the enumerated set, D + (-D) = 0 for every class, and sampled
+    triples commute and associate."""
+    jac = _oracle_jacobian(genus, p)
+    pool = [
+        MumfordDivisor(Poly(jac.field, u), Poly(jac.field, v))
+        for u, v in mumford_classes(ORACLE_CURVES[genus], p, genus)
+    ]
+    classes = set(pool)
+    assert jac.identity in classes
+    for D in pool:
+        assert jac.neg(D) in classes
+        assert jac.add(D, jac.neg(D)) == jac.identity
+        assert jac.add(D, jac.identity) == D
+    rng = random.Random(83 + p)
+    for _ in range(60):
+        D1, D2, D3 = (rng.choice(pool) for _ in range(3))
+        S = jac.add(D1, D2)
+        assert S in classes
+        assert S == jac.add(D2, D1)
+        assert jac.add(S, D3) == jac.add(D1, jac.add(D2, D3))
+
+
+def test_cantor_over_fp_matches_exact_q_addition_reduced():
+    """Reduction mod p is a homomorphism: F_p Cantor addition of reduced
+    classes equals the exact addition over Q, reduced by reduce_divisor.
+    y^2 = x(x^2 - 1)(x - 2)(x - 3) + (x^2 + x + 2)^2 has the integral points
+    (a, +-(a^2 + a + 2)) for a in -1..3, distinct mod every p >= 5."""
+    xs = (-1, 0, 1, 2, 3)
+    v = qp(2, 1, 1)
+    prod = qp(1)
+    for a in xs:
+        prod = prod * qp(-a, 1)
+    curve = make_curve(prod + v * v)
+    jq = Jacobian.over_q(curve)
+    points = [
+        jq.embed(CurvePoint.affine(QTRIV.rational(a), QTRIV.rational(s * v(a))))
+        for a in xs
+        for s in (1, -1)
+    ]
+    classes = points + [jq.add(P, Q) for P, Q in itertools.combinations(points, 2)]
+    rng = random.Random(89)
+    checked = 0
+    for p in (5, 7, 11, 13):
+        jp = Jacobian.over_prime_field(curve, p)
+        w = split_places(QTRIV, p)[0]
+        for _ in range(40):
+            D1, D2 = rng.choice(classes), rng.choice(classes)
+            try:
+                expected = reduce_divisor(jq.add(D1, D2), w, jp)
+            except NonIntegralError:
+                continue  # support points of the sum collide mod p
+            assert jp.add(reduce_divisor(D1, w, jp), reduce_divisor(D2, w, jp)) == expected
+            checked += 1
+    assert checked >= 120
 
 
 @pytest.mark.parametrize("p, point, order", [(101, (1, 45), 11978), (1009, (0, 149), 336238)])
