@@ -25,7 +25,7 @@ from tpe.families import (
     generate_xpx,
     sweep_cd,
 )
-from tpe.jacobian import CertifiedTorsion, NotTorsion, torsion_decide
+from tpe.jacobian import CertifiedTorsion, NotTorsion, resolve_height_ceiling, torsion_decide
 from tpe.tower import split_places
 
 EXIT_OK = 0
@@ -304,6 +304,11 @@ def main(argv=None) -> int:
             argv[i : i + 2] = [f"--range={argv[i + 1]}"]
             break
     args = build_parser().parse_args(argv)
+    try:
+        args.height_ceiling = resolve_height_ceiling(args.height_ceiling)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.command == "verify":
         return cmd_verify(args)
     if args.command == "family":

@@ -89,6 +89,12 @@ def has_good_reduction(curve: HyperellipticCurve, p: int) -> bool:
     return disc.numerator % p != 0
 
 
+def affine_count_mod_p(coeffs, p: int) -> int:
+    """Affine points of y^2 = f(x) over F_p, for f given by int coefficients
+    (lowest degree first): the sum over x of 1 + legendre(f(x))."""
+    return sum(1 + legendre_symbol(horner_mod_p(coeffs, x, p), p) for x in range(p))
+
+
 def count_points_mod_p(curve: HyperellipticCurve, p: int) -> int:
     """#C(F_p) of the reduced curve, including points at infinity.
 
@@ -99,9 +105,7 @@ def count_points_mod_p(curve: HyperellipticCurve, p: int) -> int:
     if not has_good_reduction(curve, p):
         raise ValueError(f"bad reduction at {p}")
     fp = reduce_poly_mod_p(curve.f, p)
-    total = 0
-    for x in range(p):
-        total += 1 + legendre_symbol(horner_mod_p(fp.coeffs, x, p), p)
+    total = affine_count_mod_p(fp.coeffs, p)
     if curve.odd_model:
         total += 1
     else:

@@ -6,24 +6,29 @@ identity is (1, 0).  The same code runs over F_p, over Q, and over a
 single-generator number field; number-field runs guard against coefficient
 blow-up with a configurable digit ceiling.
 
-Everything is pure and immutable; an order search over F_p is internally
-sequential, but independent torsion decisions can run concurrently.
+Everything is pure and immutable, except that a Jacobian over F_p caches
+#C(F_p) on first use (two threads may both count it, with one result); an
+order search over F_p is internally sequential, but independent torsion
+decisions can run concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, small_divisors
+from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, is_squarefree, small_divisors
 from tpe.curve import (
     AFFINE,
     CurvePoint,
     HyperellipticCurve,
     INF,
     ReducedPoint,
+    affine_count_mod_p,
     has_good_reduction,
     on_curve,
     reduce_point,
@@ -41,14 +46,19 @@ from tpe.tower import (
 DEFAULT_HEIGHT_CEILING = 1_000_000  # decimal digits per numerator/denominator
 
 
-def height_ceiling_from_env() -> int:
-    raw = os.environ.get("TPE_HEIGHT_CEILING")
-    if raw is None:
-        return DEFAULT_HEIGHT_CEILING
-    value = int(raw)
+def resolve_height_ceiling(value: int | None = None) -> int:
+    """The digit ceiling: `value`, or TPE_HEIGHT_CEILING (default 1000000)
+    when it is None.  One check serves the flag, the variable and the
+    library: a ceiling below 1 is refused with ValueError."""
+    if value is None:
+        value = int(os.environ.get("TPE_HEIGHT_CEILING", DEFAULT_HEIGHT_CEILING))
     if value < 1:
-        raise ValueError("TPE_HEIGHT_CEILING must be positive")
+        raise ValueError(f"height ceiling must be a positive digit count, not {value}")
     return value
+
+
+def height_ceiling_from_env() -> int:
+    return resolve_height_ceiling()
 
 
 class HeightLimitExceeded(ArithmeticError):
@@ -95,13 +105,21 @@ class Jacobian:
             raise ValueError("Cantor arithmetic needs an odd-degree model")
         if tower.k > 1:
             raise ValueError("exact arithmetic supports at most one generator")
-        if height_ceiling is None:
-            height_ceiling = height_ceiling_from_env()
+        height_ceiling = resolve_height_ceiling(height_ceiling)
         return cls(tower, lift_poly(curve.f, tower), curve.genus, height_ceiling)
 
     @classmethod
     def over_q(cls, curve: HyperellipticCurve, height_ceiling: int | None = None):
         return cls.over_tower(curve, TowerSpec(), height_ceiling)
+
+    @cached_property
+    def curve_point_count(self) -> int:
+        """#C(F_p) of y^2 = f(x) over a prime field, counted on first use;
+        refused with ValueError when f mod p is not squarefree."""
+        p = self.field.p
+        if not is_squarefree(self.f):
+            raise ValueError(f"f is not squarefree mod {p}")
+        return affine_count_mod_p(self.f.coeffs, p) + 1  # one point at infinity
 
     @property
     def identity(self) -> MumfordDivisor:
@@ -159,7 +177,7 @@ class Jacobian:
             u_next = (self.f - v * v).exact_div(u).monic()
             v = (-v) % u_next
             u = u_next
-        result = MumfordDivisor(u.monic(), v)
+        result = MumfordDivisor(u, v)
         self._check_height(result)
         return result
 
@@ -216,19 +234,42 @@ def class_group_bound(p: int, genus: int) -> int:
     return class_group_interval(p, genus)[1]
 
 
+def class_group_interval_from_count(p: int, genus: int, points: int) -> tuple[int, int]:
+    """Integers lo <= #J(F_p) <= hi for a curve with #C(F_p) = points.
+
+    #J(F_p) = prod(p + 1 - t_i) over real t_i with |t_i| <= 2 sqrt(p) <= b,
+    b = isqrt(4p) + 1, and sum(t_i) = s = p + 1 - points.  Every factor is
+    at least p + 1 - b >= 0.  By AM-GM the product is at most
+    ((g(p + 1) - s) / g)^g, rounded up.  The product is log-concave, so
+    its minimum over the box cut by the plane sum(t_i) = s lies at a
+    vertex: g - 1 coordinates at -b or b and the last one s minus their
+    sum, kept when it lies in [-b, b].  Genus 1 gives lo = hi = points.
+    """
+    s = p + 1 - points
+    b = math.isqrt(4 * p) + 1
+    hi = -(-((genus * (p + 1) - s) ** genus) // genus**genus)
+    lo = min(
+        math.prod(p + 1 - t for t in (*ts, s - sum(ts)))
+        for ts in itertools.product((-b, b), repeat=genus - 1)
+        if abs(s - sum(ts)) <= b
+    )
+    return lo, hi
+
+
 def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
     """Exact order of a reduced class over F_p, by baby-step giant-step.
 
-    The Hasse-Weil interval lo <= #J(F_p) <= hi holds a multiple of the
-    order.  Baby steps j*D for j < s = isqrt(hi - lo) + 1 return any order
-    below s directly; giant steps lo*D + i*s*D meet a baby step at some
-    m = lo + i*s - j with m*D = 0, and the primes of m are stripped while
-    the cofactor still kills D.  Finding no m means the inputs were
-    inconsistent.
+    The interval lo <= #J(F_p) <= hi narrowed by #C(F_p) (counted once per
+    Jacobian) holds a multiple of the order.  Baby steps j*D for
+    j < s = isqrt(hi - lo) + 1 return any order below s directly; giant
+    steps lo*D + i*s*D meet a baby step at some m = lo + i*s - j with
+    m*D = 0.  The order is then recovered one prime power at a time: for
+    q^e exactly dividing m, (m/q^e)*D is multiplied by q until it vanishes.
+    Finding no m means the inputs were inconsistent.
     """
     if not isinstance(jac.field, PrimeField):
         raise TypeError("divisor_order runs over a prime field")
-    lo, hi = class_group_interval(jac.field.p, jac.genus)
+    lo, hi = class_group_interval_from_count(jac.field.p, jac.genus, jac.curve_point_count)
     s = math.isqrt(hi - lo) + 1
     zero = jac.identity
     baby = {zero: 0}
@@ -248,12 +289,16 @@ def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
         giant = jac.add(giant, acc)
     else:
         raise RuntimeError("order search exceeded the class-group bound")
-    # a cofactor below s is not a multiple of the order: skip it unmultiplied
-    for q in small_divisors(m):
-        if is_prime(q):
-            while m % q == 0 and m // q >= s and jac.mul(m // q, D) == zero:
-                m //= q
-    return m
+    order = 1
+    for q in filter(is_prime, small_divisors(m)):
+        k = m
+        while k % q == 0:
+            k //= q
+        E = jac.mul(k, D)
+        while E != zero:
+            E = jac.mul(q, E)
+            order *= q
+    return order
 
 
 def reduce_divisor(

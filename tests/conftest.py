@@ -1,16 +1,18 @@
 """Shared helpers: independent oracles kept deliberately separate from the
 implementation paths they check (Sylvester determinants for resultants,
-brute-force point counts, enumeration square roots, linear order scans and
-enumerated Jacobian orders)."""
+brute-force point counts, enumeration square roots, linear order scans,
+baby-step giant-step over the generic Hasse-Weil interval and enumerated
+Jacobian orders)."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from tpe.algebra import Poly, QQ, legendre_symbol
+from tpe.algebra import Poly, QQ, is_prime, legendre_symbol, small_divisors
 from tpe.curve import CurvePoint, ReducedPoint
-from tpe.jacobian import Jacobian, class_group_bound
+from tpe.jacobian import Jacobian, class_group_bound, class_group_interval
 
 
 def qp(*coeffs) -> Poly:
@@ -116,6 +118,36 @@ def linear_order(jac: Jacobian, D) -> int:
             return n
         acc = jac.add(acc, D)
     raise AssertionError("no order within the class-group bound")
+
+
+def hasse_weil_order(jac: Jacobian, D) -> int:
+    """Order of a class over F_p by baby-step giant-step over the generic
+    Hasse-Weil interval, with no point count: s = isqrt(hi - lo) + 1 baby
+    steps, giant steps from lo*D, and the primes of the first multiple m
+    stripped while the cofactor, at least s, still kills D."""
+    lo, hi = class_group_interval(jac.field.p, jac.genus)
+    s = math.isqrt(hi - lo) + 1
+    zero = jac.identity
+    baby = {zero: 0}
+    acc = D
+    for j in range(1, s):
+        if acc == zero:
+            return j
+        baby[acc] = j
+        acc = jac.add(acc, D)
+    giant = jac.mul(lo, D)
+    for i in range(s + 1):
+        j = baby.get(giant)
+        if j is not None and lo + i * s > j:
+            m = lo + i * s - j
+            break
+        giant = jac.add(giant, acc)
+    else:
+        raise AssertionError("no multiple of the order within the Hasse-Weil interval")
+    for q in filter(is_prime, small_divisors(m)):
+        while m % q == 0 and m // q >= s and jac.mul(m // q, D) == zero:
+            m //= q
+    return m
 
 
 def mumford_classes(f: list[int], p: int, genus: int) -> list[tuple[list[int], list[int]]]:

@@ -138,6 +138,25 @@ def test_torsion_command(capsys, tmp_path):
     assert code == 2
 
 
+def test_height_ceiling_must_be_positive(capsys, tmp_path, monkeypatch):
+    curve = write(tmp_path, "curve.json", {"f": [-4, 0, 0, 0, 0, 1]})
+    tower = write(
+        tmp_path, "tower.json", {"generators": [{"name": "r", "relation": [-3121, 0, 1]}]}
+    )
+    argv = ["torsion", "--curve", curve, "--point",
+            '{"type":"affine","x":5,"y":[[[1],1]]}', "--tower", tower, "--p", "19",
+            "--json", "--height-ceiling"]
+    for bad in ("0", "-5"):
+        code, out, err = run(capsys, argv + [bad])
+        assert code == 3 and out == "" and "height ceiling" in err
+    code, out, _ = run(capsys, argv + ["1"])
+    assert code == 2 and json.loads(out)["verdict"] == "undecidable"
+    # the variable goes through the same check, on every command
+    monkeypatch.setenv("TPE_HEIGHT_CEILING", "-5")
+    code, _, err = run(capsys, ["family", "cd", "--d", "18", "--rank0"])
+    assert code == 3 and "height ceiling" in err
+
+
 def test_sweep_command(capsys, tmp_path):
     out_path = tmp_path / "census.json"
     code, out, _ = run(

@@ -1,16 +1,25 @@
 """Cantor arithmetic: group axioms, orders, the torsion decision procedure,
 and reduction compatibility."""
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
-from conftest import linear_order, mumford_classes, qp, random_reduced_class
-from tpe.algebra import NonIntegralError, Poly, is_prime, small_divisors
-from tpe.curve import CurvePoint, ReducedPoint, make_curve, reduce_point
+from conftest import (
+    brute_force_count,
+    hasse_weil_order,
+    linear_order,
+    mumford_classes,
+    qp,
+    random_reduced_class,
+)
+from tpe.algebra import NonIntegralError, Poly, is_prime, is_squarefree, small_divisors
+from tpe.curve import CurvePoint, ReducedPoint, has_good_reduction, make_curve, reduce_point
 from tpe.jacobian import (
     CertifiedTorsion,
     HeightLimitExceeded,
@@ -20,6 +29,7 @@ from tpe.jacobian import (
     Undecidable,
     class_group_bound,
     class_group_interval,
+    class_group_interval_from_count,
     divisor_order,
     reduce_divisor,
     torsion_decide,
@@ -155,15 +165,20 @@ def _oracle_jacobian(genus: int, p: int) -> Jacobian:
 
 @pytest.mark.parametrize("genus", (1, 2, 3))
 def test_divisor_order_matches_linear_scan(genus):
+    """divisor_order, the generic Hasse-Weil baby-step giant-step and the
+    linear scan agree; the sets below record that the giant steps of both
+    searches run (orders above their baby-step counts)."""
     rng = random.Random(71 + genus)
     f = ORACLE_CURVES[genus]
     lo_zero, above = set(), set()  # primes with lo = 0; with an order above s
+    narrowed_above = set()  # primes with an order above the narrowed s
     for p in ORACLE_PRIMES:
         jac = _oracle_jacobian(genus, p)
         roots = [a for a in range(p) if sum(c * a**i for i, c in enumerate(f)) % p == 0]
         for W in [jac.embed(ReducedPoint("affine", x=a, y=0)) for a in roots]:
-            assert linear_order(jac, W) == divisor_order(jac, W) == 2
+            assert linear_order(jac, W) == hasse_weil_order(jac, W) == divisor_order(jac, W) == 2
         assert linear_order(jac, jac.identity) == divisor_order(jac, jac.identity) == 1
+        assert hasse_weil_order(jac, jac.identity) == 1
         # a genus-3 linear scan at p = 19 or 23 runs to orders near 5000 and
         # takes seconds per class, so random genus-3 classes stop at p = 13
         classes = [random_reduced_class(jac, rng) for _ in range(0 if genus == 3 and p > 13 else 2)]
@@ -175,29 +190,88 @@ def test_divisor_order_matches_linear_scan(genus):
                     MumfordDivisor(Poly(jac.field, u), Poly(jac.field, v))
                     for u, v in mumford_classes(f, p, genus)
                 ]
+        nlo, nhi = class_group_interval_from_count(p, genus, jac.curve_point_count)
         for D in classes:
             n = linear_order(jac, D)
-            assert divisor_order(jac, D) == n, (p, D)
+            assert divisor_order(jac, D) == hasse_weil_order(jac, D) == n, (p, D)
             if n > isqrt(hi - lo) + 1:
                 above.add(p)
+            if n > isqrt(nhi - nlo) + 1:
+                narrowed_above.add(p)
     assert lo_zero == {3, 5} and above - lo_zero
+    assert len(narrowed_above) >= 3
     if genus < 3:
         assert lo_zero <= above
 
 
-@pytest.mark.parametrize("genus, p", [(g, p) for g in (1, 2) for p in (3, 5, 7, 11)])
+@pytest.mark.parametrize(
+    "genus, p", [(g, p) for g in (1, 2) for p in (3, 5, 7, 11)] + [(3, 3), (3, 5)]
+)
 def test_class_group_interval_holds_enumerated_order(genus, p):
     """#J(F_p) from every reduced Mumford pair lies in the Hasse-Weil
-    interval, and the order of each class divides it."""
+    interval and in the one narrowed by #C(F_p), and the order of each class
+    divides it.  In genus 1 the narrowed interval is the single value
+    #J = #C(F_p)."""
     jac = _oracle_jacobian(genus, p)
     classes = mumford_classes(ORACLE_CURVES[genus], p, genus)
     lo, hi = class_group_interval(p, genus)
     assert lo <= len(classes) <= hi == class_group_bound(p, genus)
+    points = jac.curve_point_count
+    assert points == brute_force_count(qp(*ORACLE_CURVES[genus]), p)
+    nlo, nhi = class_group_interval_from_count(p, genus, points)
+    assert 0 <= nlo <= len(classes) <= nhi
+    if genus == 1:
+        assert nlo == nhi == points == len(classes)
     rng = random.Random(73)
     for u, v in rng.sample(classes, min(len(classes), 24)):
         D = MumfordDivisor(Poly(jac.field, u), Poly(jac.field, v))
         assert jac.on_jacobian(D)
         assert len(classes) % divisor_order(jac, D) == 0
+
+
+def _perfbench_oracle():
+    """perfbench/oracle.py, loaded read-only from the checkout: #J(F_p) from
+    point counts over F_(p^k), with no Cantor arithmetic."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the oracle's cubic extension needs p = 1 mod 3, hence genus 3 at 7, 13, 19
+@pytest.mark.parametrize(
+    "genus, p, curves", [(2, 101, 12), (2, 1009, 2), (3, 7, 6), (3, 13, 6), (3, 19, 6)]
+)
+def test_narrowed_interval_holds_oracle_order(genus, p, curves):
+    """On random good-reduction curves, lo <= #J(F_p) <= hi for the interval
+    narrowed by #C(F_p), with #J from the point-count oracle; the count
+    matches the oracle's, and the order of a random class divides #J."""
+    oracle = _perfbench_oracle()
+    rng = random.Random(101 * p + genus)
+    checked = 0
+    while checked < curves:
+        f = [rng.randrange(p) for _ in range(2 * genus + 1)] + [1]
+        if not is_squarefree(qp(*f)):
+            continue
+        curve = make_curve(qp(*f))
+        if not has_good_reduction(curve, p):
+            continue
+        jac = Jacobian.over_prime_field(curve, p)
+        assert jac.curve_point_count == oracle.count_points(f, p, 1)
+        lo, hi = class_group_interval_from_count(p, genus, jac.curve_point_count)
+        group = oracle.jacobian_order(f, p)
+        assert 0 <= lo <= group <= hi, (f, lo, group, hi)
+        assert group % divisor_order(jac, random_reduced_class(jac, rng)) == 0
+        checked += 1
+
+
+def test_divisor_order_refuses_bad_reduction():
+    """f = x^5 + 9 is x^5 mod 3: the point count behind the narrowed
+    interval is refused rather than a search run on a singular curve."""
+    jac = Jacobian.over_prime_field(C9, 3)
+    with pytest.raises(ValueError):
+        divisor_order(jac, jac.embed(ReducedPoint("affine", x=1, y=1)))
 
 
 @pytest.mark.parametrize("genus, p", [(g, p) for g in (1, 2) for p in (3, 5, 7)])
@@ -355,6 +429,11 @@ def test_height_ceiling_from_environment(monkeypatch):
     monkeypatch.setenv("TPE_HEIGHT_CEILING", "0")
     with pytest.raises(ValueError):
         height_ceiling_from_env()
+    # an explicit ceiling goes through the same check
+    for ceiling in (0, -5):
+        with pytest.raises(ValueError):
+            Jacobian.over_tower(curve, tower, ceiling)
+    assert Jacobian.over_tower(curve, tower, 1).height_ceiling == 1
 
 
 def test_torsion_decide_preconditions():
