@@ -3,16 +3,20 @@
 Exit codes: 0 verified/decided, 1 verification failed, 2 inapplicable or
 undecidable, 3 malformed input.  --json emits canonical JSON (sorted keys,
 no insignificant whitespace); identical inputs produce byte-identical output.
+The parser is built once per process; each subcommand names its handler with
+set_defaults(func=...), and `main` turns the input errors every handler may
+raise (OSError, ValueError) into exit 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from tpe import docio
-from tpe.algebra import NonIntegralError
+from tpe.algebra import is_prime
 from tpe.curve import count_points_mod_p, make_curve
 from tpe.docio import DocumentError, dumps_canonical
 from tpe.envelope import TPEDocument, theorem_conclusion, verify_tpe
@@ -34,6 +38,7 @@ EXIT_INAPPLICABLE = 2
 EXIT_INPUT = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit canonical JSON")
@@ -60,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common], help="verify a TPE document")
     pv.add_argument("document", help="path to a TPE document (JSON)")
+    pv.set_defaults(func=cmd_verify)
 
     pf = sub.add_parser("family", help="generate and verify a family document")
     fsub = pf.add_subparsers(dest="family_name", required=True)
@@ -83,10 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="attach a rank-0 claim when the value appears in this fixture",
         )
         fp.add_argument("--out", metavar="FILE", help="save the document JSON")
+        fp.set_defaults(func=cmd_family)
 
     pc = sub.add_parser("count", parents=[common], help="#C(F_p) for a curve file")
     pc.add_argument("--curve", required=True, metavar="FILE")
     pc.add_argument("--p", type=int, required=True)
+    pc.set_defaults(func=cmd_count)
 
     pt = sub.add_parser(
         "torsion", parents=[common],
@@ -96,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--point", required=True, metavar="SPEC", help="point JSON")
     pt.add_argument("--tower", required=True, metavar="FILE")
     pt.add_argument("--p", type=int, required=True)
+    pt.set_defaults(func=cmd_torsion)
 
     ps = sub.add_parser("sweep", help="run a family over a range")
     ssub = ps.add_subparsers(dest="family_name", required=True)
@@ -103,12 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     scd.add_argument("--range", required=True, metavar="A..B")
     scd.add_argument("--rank-fixture", metavar="FILE", help="default: bundled table")
     scd.add_argument("--out", metavar="FILE", help="save the census JSON")
+    scd.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def _echo(text: str):
     sys.stdout.write(text + "\n")
+
+
+def _emit(args, payload, text: str) -> None:
+    """Canonical JSON of `payload` under --json, else the text line."""
+    sys.stdout.write(dumps_canonical(payload) if args.json else text + "\n")
 
 
 def _print_report(doc: TPEDocument, report, conclusion, as_json: bool) -> None:
@@ -137,16 +152,15 @@ def _print_report(doc: TPEDocument, report, conclusion, as_json: bool) -> None:
             _echo(f"  ! {warning}")
 
 
-def cmd_verify(args) -> int:
-    try:
-        doc = docio.load_document(args.document)
-    except (OSError, DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def _verify_and_print(doc: TPEDocument, args) -> int:
     report = verify_tpe(doc, place_index=args.place, height_ceiling=args.height_ceiling)
     conclusion = theorem_conclusion(report, doc) if report.all_passed else None
     _print_report(doc, report, conclusion, args.json)
     return EXIT_OK if report.all_passed else EXIT_FAILED
+
+
+def cmd_verify(args) -> int:
+    return _verify_and_print(docio.load_document(args.document), args)
 
 
 def _load_fixture(args) -> RankFixture | None:
@@ -156,41 +170,23 @@ def _load_fixture(args) -> RankFixture | None:
 
 
 def cmd_family(args) -> int:
-    try:
-        fixture = _load_fixture(args)
-        if args.family_name == "cd":
-            doc = generate_cd(args.d, rank0=args.rank0, fixture=fixture)
-        elif args.family_name == "dd":
-            doc = generate_dd(args.p, args.d, rank0=args.rank0, fixture=fixture)
-        else:
-            doc = generate_xpx(args.p, rank0=args.rank0, fixture=fixture)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    fixture = _load_fixture(args)
+    if args.family_name == "cd":
+        doc = generate_cd(args.d, rank0=args.rank0, fixture=fixture)
+    elif args.family_name == "dd":
+        doc = generate_dd(args.p, args.d, rank0=args.rank0, fixture=fixture)
+    else:
+        doc = generate_xpx(args.p, rank0=args.rank0, fixture=fixture)
     if isinstance(doc, Inapplicable):
-        if args.json:
-            sys.stdout.write(
-                dumps_canonical(
-                    {
-                        "inapplicable": True,
-                        "reason": doc.reason,
-                        "count": doc.count,
-                        "note": doc.note,
-                    }
-                )
-            )
-        else:
-            _echo(f"inapplicable: {doc.reason}")
-            if doc.note:
-                _echo(f"note: {doc.note}")
+        payload = {"inapplicable": True, "reason": doc.reason,
+                   "count": doc.count, "note": doc.note}
+        note = f"\nnote: {doc.note}" if doc.note else ""
+        _emit(args, payload, f"inapplicable: {doc.reason}{note}")
         return EXIT_INAPPLICABLE
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(docio.document_to_json(doc))
-    report = verify_tpe(doc, place_index=args.place, height_ceiling=args.height_ceiling)
-    conclusion = theorem_conclusion(report, doc) if report.all_passed else None
-    _print_report(doc, report, conclusion, args.json)
-    return EXIT_OK if report.all_passed else EXIT_FAILED
+    return _verify_and_print(doc, args)
 
 
 def _load_curve(path):
@@ -202,53 +198,35 @@ def _load_curve(path):
 
 
 def cmd_count(args) -> int:
-    try:
-        curve = _load_curve(args.curve)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    curve = _load_curve(args.curve)
+    if args.p < 3 or not is_prime(args.p):
+        raise ValueError(f"p = {args.p} is not an odd prime")
     try:
         n = count_points_mod_p(curve, args.p)
-    except ValueError as exc:
-        if args.json:
-            sys.stdout.write(dumps_canonical({"error": str(exc)}))
-        else:
-            _echo(f"inapplicable: {exc}")
+    except ValueError as exc:  # bad reduction at p
+        _emit(args, {"error": str(exc)}, f"inapplicable: {exc}")
         return EXIT_INAPPLICABLE
-    if args.json:
-        sys.stdout.write(
-            dumps_canonical({"curve": docio.poly_to_obj(curve.f), "p": args.p, "count": n})
-        )
-    else:
-        _echo(f"#C(F_{args.p}) = {n}")
+    payload = {"curve": docio.poly_to_obj(curve.f), "p": args.p, "count": n}
+    _emit(args, payload, f"#C(F_{args.p}) = {n}")
     return EXIT_OK
 
 
 def cmd_torsion(args) -> int:
-    try:
-        curve = _load_curve(args.curve)
-        with open(args.tower, "r", encoding="utf-8") as fh:
-            tower = docio.tower_from_obj(json.load(fh))
-        point = docio.point_from_obj(json.loads(args.point), tower)
-        places = split_places(tower, args.p)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    curve = _load_curve(args.curve)
+    with open(args.tower, "r", encoding="utf-8") as fh:
+        tower = docio.tower_from_obj(json.load(fh))
+    point = docio.point_from_obj(json.loads(args.point), tower)
+    places = split_places(tower, args.p)
     if not places:
         _echo(f"inapplicable: p = {args.p} does not split completely")
         return EXIT_INAPPLICABLE
     index = args.place if args.place is not None else 0
     if not 0 <= index < len(places):
-        print(f"error: place index {index} out of range", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        verdict = torsion_decide(
-            point, curve, tower, args.p, places[index],
-            height_ceiling=args.height_ceiling,
-        )
-    except (ValueError, NonIntegralError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"place index {index} out of range")
+    verdict = torsion_decide(
+        point, curve, tower, args.p, places[index],
+        height_ceiling=args.height_ceiling,
+    )
     if isinstance(verdict, CertifiedTorsion):
         payload = {"verdict": "torsion", "order": verdict.order}
         text = f"torsion of exact order {verdict.order}"
@@ -261,35 +239,25 @@ def cmd_torsion(args) -> int:
         payload = {"verdict": "undecidable", "reason": verdict.reason}
         text = f"undecidable: {verdict.reason}"
         code = EXIT_INAPPLICABLE
-    if args.json:
-        sys.stdout.write(dumps_canonical(payload))
-    else:
-        _echo(text)
+    _emit(args, payload, text)
     return code
 
 
 def cmd_sweep(args) -> int:
-    try:
-        lo_s, _, hi_s = args.range.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if lo > hi:
-            raise ValueError("empty range")
-        fixture = (
-            RankFixture.load(args.rank_fixture)
-            if args.rank_fixture
-            else builtin_fixture("cd")
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    lo_s, _, hi_s = args.range.partition("..")
+    lo, hi = int(lo_s), int(hi_s)
+    if lo > hi:
+        raise ValueError("empty range")
+    fixture = (
+        RankFixture.load(args.rank_fixture)
+        if args.rank_fixture
+        else builtin_fixture("cd")
+    )
     result = sweep_cd(lo, hi, fixture)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical(result.to_obj()))
-    if args.json:
-        sys.stdout.write(dumps_canonical(result.to_obj()))
-    else:
-        _echo(result.text())
+    _emit(args, result.to_obj(), result.text())
     return EXIT_OK
 
 
@@ -306,20 +274,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.height_ceiling = resolve_height_ceiling(args.height_ceiling)
-    except ValueError as exc:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # malformed input: DocumentError, JSONDecodeError and NonIntegralError
+        # are ValueErrors; a missing or unwritable file is an OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "family":
-        return cmd_family(args)
-    if args.command == "count":
-        return cmd_count(args)
-    if args.command == "torsion":
-        return cmd_torsion(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    return EXIT_INPUT
 
 
 def console_main() -> None:

@@ -4,7 +4,9 @@ Odd models (deg f = 2g+1) have a single point at infinity, which is a
 Weierstrass point; even models (deg f = 2g+2) have two, distinguished by the
 two square roots of the leading coefficient, and both are non-Weierstrass.
 Good reduction at p is certified by the sufficient criterion
-p does not divide 2 * lc(f) * disc(f).
+p does not divide 2 * lc(f) * disc(f), decided in F_p: once f is p-integral
+and p does not divide lc(f), f mod p keeps the degree of f, so
+disc(f mod p) = disc(f) mod p.
 """
 
 from __future__ import annotations
@@ -75,7 +77,12 @@ def make_curve(f: Poly, allow_low_genus: bool = False) -> HyperellipticCurve:
 
 
 def has_good_reduction(curve: HyperellipticCurve, p: int) -> bool:
-    """Sufficient criterion: p odd, f p-integral, p | neither lc(f) nor disc(f)."""
+    """Sufficient criterion: p odd, f p-integral, p | neither lc(f) nor disc(f).
+
+    The discriminant is taken in F_p.  The two checks before it make f mod p
+    keep the degree of f, and then disc(f mod p) = disc(f) mod p; the
+    formal-degree factor in `discriminant` keeps this true when p | deg f.
+    """
     if p == 2:
         raise ValueError("p = 2 is not supported")
     if not is_prime(p):
@@ -85,8 +92,7 @@ def has_good_reduction(curve: HyperellipticCurve, p: int) -> bool:
             return False
     if curve.leading.numerator % p == 0:
         return False
-    disc = discriminant(curve.f)
-    return disc.numerator % p != 0
+    return discriminant(reduce_poly_mod_p(curve.f, p)) != 0
 
 
 def affine_count_mod_p(coeffs, p: int) -> int:

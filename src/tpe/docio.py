@@ -140,11 +140,30 @@ def point_to_obj(point: CurvePoint):
     return {"type": _KIND_NAMES[point.kind]}
 
 
+def _require(obj, keys, what: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise DocumentError(f"{what} is missing {key!r}")
+
+
+def _list(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise DocumentError(f"{what} must be a list")
+    return obj
+
+
+def _positive_int(obj, message: str) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool) or obj < 1:
+        raise DocumentError(message)
+    return obj
+
+
 def point_from_obj(obj, tower: TowerSpec) -> CurvePoint:
-    if not isinstance(obj, dict) or "type" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         raise DocumentError(f"not a point: {obj!r}")
     kind = obj["type"]
     if kind == "affine":
+        _require(obj, ("x", "y"), "affine point")
         return CurvePoint.affine(
             element_from_obj(obj["x"], tower), element_from_obj(obj["y"], tower)
         )
@@ -166,7 +185,7 @@ def tower_from_obj(obj) -> TowerSpec:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise DocumentError("tower needs a generators list")
     gens = []
-    for g in obj["generators"]:
+    for g in _list(obj["generators"], "generators"):
         if not isinstance(g, dict) or "name" not in g or "relation" not in g:
             raise DocumentError(f"bad generator: {g!r}")
         gens.append((g["name"], poly_from_obj(g["relation"])))
@@ -183,6 +202,7 @@ _CERT_NAMES = {
     PrincipalDivisorCert: "principal_divisor",
     CantorCheckedCert: "cantor_checked",
 }
+_CERT_TYPES = {v: k for k, v in _CERT_NAMES.items()}
 
 
 def cert_to_obj(cert: Certificate):
@@ -202,24 +222,23 @@ def cert_from_obj(obj, tower: TowerSpec) -> Certificate:
     if not isinstance(obj, dict) or "type" not in obj:
         raise DocumentError(f"not a certificate: {obj!r}")
     name = obj["type"]
-    if name == "base_point":
-        return BasePointCert()
-    if name == "weierstrass_two_torsion":
-        return WeierstrassTwoTorsionCert()
-    if name == "even_model_infinity":
-        return EvenModelInfinityCert()
-    if name == "principal_divisor":
-        v = tuple(element_from_obj(c, tower) for c in obj.get("v", []))
-        m = obj.get("m")
-        if not isinstance(m, int) or m < 1:
-            raise DocumentError("principal_divisor needs integer m >= 1")
+    cls = _CERT_TYPES.get(name) if isinstance(name, str) else None
+    if cls is None:
+        raise DocumentError(f"unknown certificate type: {name!r}")
+    if cls is PrincipalDivisorCert:
+        v = tuple(
+            element_from_obj(c, tower)
+            for c in _list(obj.get("v", []), "principal_divisor v")
+        )
+        m = _positive_int(obj.get("m"), "principal_divisor needs integer m >= 1")
         return PrincipalDivisorCert(v, m)
-    if name == "cantor_checked":
-        n = obj.get("expected_order")
-        if not isinstance(n, int) or n < 1:
-            raise DocumentError("cantor_checked needs integer expected_order >= 1")
+    if cls is CantorCheckedCert:
+        n = _positive_int(
+            obj.get("expected_order"),
+            "cantor_checked needs integer expected_order >= 1",
+        )
         return CantorCheckedCert(n)
-    raise DocumentError(f"unknown certificate type: {name!r}")
+    return cls()
 
 
 def entry_to_obj(entry: Entry):
@@ -236,11 +255,13 @@ def entry_from_obj(obj, tower: TowerSpec) -> Entry:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise DocumentError(f"not an entry: {obj!r}")
     if obj["kind"] == "point":
+        _require(obj, ("point", "certificate"), "point entry")
         return PointEntry(
             point_from_obj(obj["point"], tower),
             cert_from_obj(obj["certificate"], tower),
         )
     if obj["kind"] == "weierstrass_family":
+        _require(obj, ("h",), "weierstrass_family entry")
         return WeierstrassFamilyEntry(poly_from_obj(obj["h"]))
     raise DocumentError(f"unknown entry kind: {obj['kind']!r}")
 
@@ -277,9 +298,10 @@ def document_to_obj(doc: TPEDocument) -> dict:
 def document_from_obj(obj) -> TPEDocument:
     if not isinstance(obj, dict):
         raise DocumentError("document must be a JSON object")
-    for key in ("curve", "base_point", "tower", "p", "entries", "rank_assertion"):
-        if key not in obj:
-            raise DocumentError(f"document is missing {key!r}")
+    _require(
+        obj, ("curve", "base_point", "tower", "p", "entries", "rank_assertion"),
+        "document",
+    )
     if not isinstance(obj["curve"], dict) or "f" not in obj["curve"]:
         raise DocumentError("curve needs a coefficient list f")
     try:
@@ -296,14 +318,18 @@ def document_from_obj(obj) -> TPEDocument:
         place = None
     elif isinstance(place_obj, dict):
         try:
-            place = tuple(int(place_obj[name]) for name in tower.names)
+            place = tuple(place_obj[name] for name in tower.names)
         except KeyError as exc:
             raise DocumentError(f"place is missing residue for {exc}") from exc
+        if not all(isinstance(r, int) and not isinstance(r, bool) for r in place):
+            raise DocumentError("place residues must be integers")
         if len(place_obj) != tower.k:
             raise DocumentError("place names unknown generators")
     else:
         raise DocumentError("place must be 'first' or a residue mapping")
-    entries = tuple(entry_from_obj(e, tower) for e in obj["entries"])
+    entries = tuple(
+        entry_from_obj(e, tower) for e in _list(obj["entries"], "entries")
+    )
     ra = obj["rank_assertion"]
     if not isinstance(ra, dict) or not isinstance(ra.get("claimed"), bool):
         raise DocumentError("rank_assertion needs a boolean 'claimed'")
@@ -317,6 +343,9 @@ def document_from_obj(obj) -> TPEDocument:
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise DocumentError("meta must be an object")
+    warnings = meta.get("warnings", [])
+    if not all(isinstance(w, str) for w in _list(warnings, "meta.warnings")):
+        raise DocumentError("meta.warnings must be a list of strings")
     try:
         return TPEDocument(
             curve=curve,

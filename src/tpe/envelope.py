@@ -419,7 +419,9 @@ def verify_tpe(
     chosen_index = None
     ok2, det2 = True, ""
     places: list[ResidueAssignment] = []
-    if p == 2 or not is_prime(p):
+    if p.bit_length() > 64:
+        ok2, det2 = False, f"p = {p} is beyond the 64-bit primality test"
+    elif p < 3 or not is_prime(p):
         ok2, det2 = False, f"p = {p} is not an odd prime"
     else:
         try:

@@ -372,7 +372,9 @@ def split_places(tower: TowerSpec, p: int) -> list[ResidueAssignment]:
     p splits completely in the compositum iff it splits completely in each
     generator field, so the assignments are the Cartesian product of the
     per-relation root choices, in lexicographic order of residues.
-    Ramified primes (p dividing some relation discriminant) are rejected.
+    Ramified primes (p dividing some relation discriminant) are rejected;
+    the discriminant is taken in F_p, which is exact because the relations
+    are monic and p-integral, so reduction keeps their degree.
     """
     if p == 2:
         raise ValueError("p must be odd")
@@ -385,16 +387,15 @@ def split_places(tower: TowerSpec, p: int) -> list[ResidueAssignment]:
                 raise NonIntegralError(
                     f"relation for {name!r} is not {p}-integral"
                 )
-        if relation.degree >= 2:
-            disc = discriminant(relation)
-            if disc.numerator % p == 0:
-                raise ValueError(
-                    f"p = {p} divides the discriminant of the relation "
-                    f"for {name!r} (ramified); rejected"
-                )
+        rp = reduce_poly_mod_p(relation, p)
+        if relation.degree >= 2 and discriminant(rp) == 0:
+            raise ValueError(
+                f"p = {p} divides the discriminant of the relation "
+                f"for {name!r} (ramified); rejected"
+            )
         if not splits_completely_mod_p(relation, p):
             return []
-        root_lists.append(sorted(roots_mod_p(reduce_poly_mod_p(relation, p))))
+        root_lists.append(sorted(roots_mod_p(rp)))
     return [
         ResidueAssignment(p, combo)
         for combo in itertools.product(*root_lists)

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from tpe.cli import main
-from tpe.docio import parse_document
-from tpe.families import bundled_document_text
+from tpe.docio import document_to_json, parse_document
+from tpe.families import bundled_document_text, generate_cd, generate_xpx
 
 
 def run(capsys, argv):
@@ -175,3 +175,148 @@ def test_seed_flag_accepted_and_ignored(capsys):
     code1, out1, _ = run(capsys, ["family", "cd", "--d", "18", "--json"])
     code2, out2, _ = run(capsys, ["family", "cd", "--d", "18", "--seed", "42", "--json"])
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_count_refuses_p_that_is_not_an_odd_prime(capsys, tmp_path):
+    curve = write(tmp_path, "curve.json", {"f": [7, 0, 0, 0, 0, 1]})
+    for bad in ("9", "-7", "2", "1", str(2**70)):
+        code, out, err = run(capsys, ["count", "--curve", curve, "--p", bad])
+        assert code == 3 and out == "" and "error:" in err, bad
+    code, _, _ = run(capsys, ["count", "--curve", curve, "--p", "5"])
+    assert code == 2  # bad reduction stays inapplicable
+
+
+@pytest.mark.parametrize("p", [-11, 2**70])
+def test_verify_reports_p_the_primality_test_refuses(capsys, tmp_path, p):
+    obj = json.loads(document_to_json(generate_cd(18, rank0=True)))
+    obj["p"] = p
+    path = write(tmp_path, "doc.json", obj)
+    code, out, _ = run(capsys, ["verify", path, "--json"])
+    assert code == 1
+    split = json.loads(out)["report"]["conditions"][1]
+    assert split["key"] == "split-prime" and not split["passed"]
+    assert split["detail"].startswith(f"p = {p} ")
+
+
+def _cd_doc():
+    return json.loads(document_to_json(generate_cd(100, rank0=True)))
+
+
+def _quadratic_doc():
+    return json.loads(bundled_document_text("quadratic_sqrt15.json"))
+
+
+def _xpx_doc():
+    return json.loads(document_to_json(generate_xpx(5)))
+
+
+def _drop(key, index):
+    def mutate(doc):
+        target = doc["entries"][index]
+        if key in ("x", "y"):
+            target = target["point"]
+        del target[key]
+    return mutate
+
+
+MALFORMED_DOCUMENTS = {
+    "affine-point-lacks-x": (_quadratic_doc, _drop("x", 1)),
+    "affine-point-lacks-y": (_quadratic_doc, _drop("y", 6)),
+    "entry-lacks-point": (_quadratic_doc, _drop("point", 2)),
+    "entry-lacks-certificate": (_quadratic_doc, _drop("certificate", 2)),
+    "family-entry-lacks-h": (_xpx_doc, _drop("h", 2)),
+    "entries-not-a-list": (_cd_doc, lambda d: d.update(entries=5)),
+    "warnings-not-a-list": (_cd_doc, lambda d: d["meta"].update(warnings="w")),
+    "warnings-not-strings": (_cd_doc, lambda d: d["meta"].update(warnings=[1])),
+    "boolean-m": (_cd_doc, lambda d: d["entries"][1]["certificate"].update(m=True)),
+    "boolean-expected-order": (
+        _quadratic_doc,
+        lambda d: d["entries"][6]["certificate"].update(expected_order=True),
+    ),
+    "place-residue-null": (
+        _quadratic_doc, lambda d: d.update(place={"s": None}),
+    ),
+    "place-residue-float": (
+        _quadratic_doc, lambda d: d.update(place={"s": 1.5}),
+    ),
+    "place-residue-string": (
+        _quadratic_doc, lambda d: d.update(place={"s": "1"}),
+    ),
+    "place-residue-boolean": (
+        _quadratic_doc, lambda d: d.update(place={"s": True}),
+    ),
+    "generators-not-a-list": (
+        _quadratic_doc, lambda d: d["tower"].update(generators=3),
+    ),
+    "point-type-unhashable": (
+        _quadratic_doc,
+        lambda d: d["entries"][1]["point"].update(type={}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_verify_malformed_document_exits_3(capsys, tmp_path, case):
+    make, mutate = MALFORMED_DOCUMENTS[case]
+    obj = make()
+    mutate(obj)
+    path = write(tmp_path, "doc.json", obj)
+    code, out, err = run(capsys, ["verify", path])
+    assert code == 3 and out == "" and "error:" in err
+
+
+def test_torsion_point_lacking_y_exits_3(capsys, tmp_path):
+    curve = write(tmp_path, "curve.json", {"f": [9, 0, 0, 0, 0, 1]})
+    tower = write(tmp_path, "tower.json", {"generators": []})
+    code, out, err = run(
+        capsys,
+        ["torsion", "--curve", curve, "--point", '{"type":"affine","x":-1}',
+         "--tower", tower, "--p", "11"],
+    )
+    assert code == 3 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "cd", "--d", "18"],
+        ["family", "xpx", "--p", "5"],
+        ["sweep", "cd", "--range", "-5..5"],
+    ],
+    ids=["family-cd", "family-xpx", "sweep-cd"],
+)
+def test_out_into_missing_directory_exits_3(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, argv + ["--out", str(target)])
+    assert code == 3 and out == "" and "error:" in err
+
+
+def test_successive_calls_share_no_parser_state(capsys, tmp_path):
+    """The parser is built once per process; no flag may leak into a later call."""
+    base = ["family", "cd", "--d", "18", "--json"]
+    _, plain, _ = run(capsys, base)
+    _, ranked, _ = run(capsys, base + ["--rank0"])
+    _, again, _ = run(capsys, base)
+    assert plain == again != ranked
+    assert json.loads(again)["document"]["rank_assertion"]["claimed"] is False
+
+    doc = tmp_path / "doc.json"
+    run(capsys, ["family", "cd", "--d", "20", "--out", str(doc)])
+    verify = ["verify", str(doc), "--json"]
+    _, first, _ = run(capsys, verify)
+    _, placed, _ = run(capsys, verify + ["--place", "1"])
+    _, again, _ = run(capsys, verify)
+    assert first == again != placed
+    assert json.loads(again)["report"]["place_index"] == 0
+
+    curve = write(tmp_path, "curve.json", {"f": [-4, 0, 0, 0, 0, 1]})
+    tower = write(
+        tmp_path, "tower.json", {"generators": [{"name": "r", "relation": [-239, 0, 1]}]}
+    )
+    torsion = ["torsion", "--curve", curve, "--point",
+               '{"type":"affine","x":3,"y":[[[1],1]]}', "--tower", tower, "--p", "7",
+               "--json"]
+    code, out, _ = run(capsys, torsion + ["--height-ceiling", "1"])
+    assert code == 2 and json.loads(out)["verdict"] == "undecidable"
+    code, out, _ = run(capsys, torsion)
+    assert code == 0 and json.loads(out)["verdict"] == "not_torsion"

@@ -2,12 +2,20 @@
 points, and reduction of points."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import brute_force_count, qp
-from tpe.algebra import NonIntegralError, cyclotomic, reduce_poly_mod_p, roots_mod_p
+from tpe.algebra import (
+    NonIntegralError,
+    PrimeField,
+    cyclotomic,
+    discriminant,
+    reduce_poly_mod_p,
+    roots_mod_p,
+)
 from tpe.curve import (
     CurvePoint,
     ReducedPoint,
@@ -46,6 +54,68 @@ def test_good_reduction_examples():
     assert not has_good_reduction(make_curve(qp(11, 0, 0, 0, 0, 1)), 11)
     with pytest.raises(ValueError):
         has_good_reduction(make_curve(qp(7, 0, 0, 0, 0, 1)), 2)
+
+
+def exact_q_good_reduction(f, p: int) -> bool:
+    """The criterion decided over Q: f p-integral, p does not divide lc(f),
+    and p does not divide the numerator of disc(f)."""
+    if any(c.denominator % p == 0 for c in f.coeffs):
+        return False
+    if f.leading.numerator % p == 0:
+        return False
+    return discriminant(f).numerator % p != 0
+
+
+def random_rational_poly(rng, degree: int, p: int):
+    """A random f over Q of the given degree that often sits on a boundary of
+    the criterion at p: a denominator divisible by p, p | lc(f), or
+    f = (x - a)^2 g mod p, so that p | disc(f) while f stays squarefree."""
+    def coeff():
+        den = rng.choice((1, 1, 1, 2, 3, p)) if rng.random() < 0.3 else 1
+        return Fraction(rng.randrange(-9, 10), den)
+
+    if rng.random() < 0.4:
+        a = rng.randrange(p)
+        g = [rng.randrange(-5, 6) for _ in range(degree - 2)] + [rng.randrange(1, 6)]
+        f = qp(a * a, -2 * a, 1) * qp(*g) + qp(*[p * rng.randrange(-3, 4) for _ in range(degree)])
+    else:
+        f = qp(*[coeff() for _ in range(degree)], rng.randrange(1, 10))
+    if rng.random() < 0.25:
+        f = f + qp(*[0] * degree, p * rng.randrange(1, 4))  # p | lc(f)
+    return f
+
+
+def test_good_reduction_in_fp_matches_exact_q():
+    """has_good_reduction decides the discriminant in F_p; it must agree with
+    the same criterion over Q on every curve, including p | deg f."""
+    rng = random.Random(83)
+    seen = Counter()
+    for _ in range(700):
+        p = rng.choice((3, 5, 7, 11, 13))
+        degree = rng.choice((5, 6, 7, 8, 9, 10, 15))
+        f = random_rational_poly(rng, degree, p)
+        if f.degree != degree:
+            continue
+        try:
+            curve = make_curve(f)
+        except ValueError:
+            continue  # not squarefree over Q
+        good = has_good_reduction(curve, p)
+        assert good == exact_q_good_reduction(f, p), (f, p)
+        integral = all(c.denominator % p for c in f.coeffs)
+        if not integral:
+            seen["denominator"] += 1
+        elif f.leading.numerator % p == 0:
+            seen["p | lc"] += 1
+        else:
+            # reduction keeps the degree, so the value itself agrees
+            assert discriminant(reduce_poly_mod_p(f, p)) == PrimeField(p).coerce(
+                discriminant(f)
+            )
+            seen[("good" if good else "p | disc", degree % p == 0)] += 1
+    for key in ("denominator", "p | lc", ("good", False), ("p | disc", False),
+                ("good", True), ("p | disc", True)):
+        assert seen[key] >= 15, seen
 
 
 def test_count_points_family_values():

@@ -1,12 +1,13 @@
 """Tower ring arithmetic, inversion, split places, and reduction maps."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import qp
-from tpe.algebra import NonIntegralError, cyclotomic
+from tpe.algebra import NonIntegralError, cyclotomic, discriminant
 from tpe.tower import (
     ResidueAssignment,
     TowerSpec,
@@ -134,6 +135,45 @@ def test_split_places_rejections():
         split_places(t, 5)  # 5 | disc(s^2 - 15) = 60: ramified
     with pytest.raises(NonIntegralError):
         split_places(TowerSpec([("s", qp(Fraction(1, 7), 0, 1))]), 7)
+
+
+def test_split_places_ramified_examples():
+    for relation, p in ((qp(-15, 0, 1), 3), (qp(-15, 0, 1), 5), (cyclotomic(5), 5)):
+        with pytest.raises(ValueError, match="ramified"):
+            split_places(TowerSpec([("s", relation)]), p)
+
+
+def test_split_places_ramification_matches_exact_q():
+    """The ramification test runs in F_p; it must reject exactly the primes
+    that divide the discriminant of a relation over Q."""
+    rng = random.Random(89)
+    seen = Counter()
+    for _ in range(400):
+        p = rng.choice((3, 5, 7, 11, 13))
+        degree = rng.randrange(2, 7)
+        if rng.random() < 0.5:
+            a = rng.randrange(p)
+            rest = qp(*[rng.randrange(-4, 5) for _ in range(degree - 2)], 1)
+            noise = qp(*[p * rng.randrange(-2, 3) for _ in range(degree)])
+            relation = qp(a * a, -2 * a, 1) * rest + noise
+        else:
+            den = rng.choice((1, 2, 3, 5, 7, 11, 13))
+            coeffs = [Fraction(rng.randrange(-9, 10), den) for _ in range(degree)]
+            relation = qp(*coeffs, 1)
+        try:
+            tower = TowerSpec([("a", relation)])
+        except ValueError:
+            continue  # not squarefree over Q
+        if any(c.denominator % p == 0 for c in relation.coeffs):
+            continue
+        ramified = discriminant(relation).numerator % p == 0
+        try:
+            split_places(tower, p)
+            assert not ramified, (relation, p)
+        except ValueError as exc:
+            assert ramified and "ramified" in str(exc), (relation, p)
+        seen[ramified] += 1
+    assert seen[True] >= 40 and seen[False] >= 40, seen
 
 
 def test_all_or_nothing_splitting():
