@@ -171,8 +171,11 @@ QQ = RationalDomain()
 class PrimeField:
     """F_p for an odd prime p, usable as a Poly coefficient domain.
 
-    Elements are plain ints in [0, p); `coerce` reduces ints and p-integral
-    rationals into that range, so Poly arithmetic may leave its intermediate
+    The constructor is the library's only odd-prime test: every function that
+    takes a reduction prime builds its field (or calls one that does) and
+    reports this ValueError unchanged.  Elements are plain ints in [0, p);
+    `coerce` reduces ints and p-integral rationals into that range (raising
+    NonIntegralError otherwise), so Poly arithmetic may leave its intermediate
     sums and products unreduced."""
 
     __slots__ = ("p",)
@@ -181,8 +184,10 @@ class PrimeField:
     one = 1
 
     def __init__(self, p: int):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"modulus must be an odd prime, got {p}")
+        if p.bit_length() > 64:
+            raise ValueError(f"p = {p} is beyond the 64-bit primality test")
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"p = {p} is not an odd prime")
         self.p = p
 
     def coerce(self, value) -> int:

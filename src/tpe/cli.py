@@ -16,7 +16,7 @@ import json
 import sys
 
 from tpe import docio
-from tpe.algebra import is_prime
+from tpe.algebra import PrimeField
 from tpe.curve import count_points_mod_p, make_curve
 from tpe.docio import DocumentError, dumps_canonical
 from tpe.envelope import TPEDocument, theorem_conclusion, verify_tpe
@@ -199,8 +199,7 @@ def _load_curve(path):
 
 def cmd_count(args) -> int:
     curve = _load_curve(args.curve)
-    if args.p < 3 or not is_prime(args.p):
-        raise ValueError(f"p = {args.p} is not an odd prime")
+    PrimeField(args.p)  # a p that is not an odd prime is malformed input (exit 3)
     try:
         n = count_points_mod_p(curve, args.p)
     except ValueError as exc:  # bad reduction at p
@@ -218,7 +217,8 @@ def cmd_torsion(args) -> int:
     point = docio.point_from_obj(json.loads(args.point), tower)
     places = split_places(tower, args.p)
     if not places:
-        _echo(f"inapplicable: p = {args.p} does not split completely")
+        reason = f"p = {args.p} does not split completely"
+        _emit(args, {"verdict": "inapplicable", "reason": reason}, f"inapplicable: {reason}")
         return EXIT_INAPPLICABLE
     index = args.place if args.place is not None else 0
     if not 0 <= index < len(places):

@@ -4,9 +4,11 @@ Odd models (deg f = 2g+1) have a single point at infinity, which is a
 Weierstrass point; even models (deg f = 2g+2) have two, distinguished by the
 two square roots of the leading coefficient, and both are non-Weierstrass.
 Good reduction at p is certified by the sufficient criterion
-p does not divide 2 * lc(f) * disc(f), decided in F_p: once f is p-integral
-and p does not divide lc(f), f mod p keeps the degree of f, so
-disc(f mod p) = disc(f) mod p.
+p does not divide 2 * lc(f) * disc(f), decided in F_p: when f is p-integral
+and f mod p keeps the degree of f (p does not divide lc(f)),
+disc(f mod p) = disc(f) mod p.  Whether p is an odd prime, and whether a
+coefficient is p-integral, is decided by `PrimeField` (through
+`reduce_poly_mod_p`), never here.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from tpe.algebra import (
+    NonIntegralError,
     Poly,
+    PrimeField,
     QQ,
     discriminant,
     horner_mod_p,
-    is_prime,
     is_squarefree,
     legendre_symbol,
     poly_str,
@@ -77,22 +80,19 @@ def make_curve(f: Poly, allow_low_genus: bool = False) -> HyperellipticCurve:
 
 
 def has_good_reduction(curve: HyperellipticCurve, p: int) -> bool:
-    """Sufficient criterion: p odd, f p-integral, p | neither lc(f) nor disc(f).
+    """Sufficient criterion: f p-integral, p | neither lc(f) nor disc(f).
 
-    The discriminant is taken in F_p.  The two checks before it make f mod p
-    keep the degree of f, and then disc(f mod p) = disc(f) mod p; the
+    A p that is not an odd prime is refused with PrimeField's ValueError, and
+    a coefficient that is not p-integral (PrimeField.coerce raises
+    NonIntegralError) gives False.  The discriminant is taken in F_p: once
+    f mod p keeps the degree of f, disc(f mod p) = disc(f) mod p; the
     formal-degree factor in `discriminant` keeps this true when p | deg f.
     """
-    if p == 2:
-        raise ValueError("p = 2 is not supported")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    for c in curve.f.coeffs:
-        if c.denominator % p == 0:
-            return False
-    if curve.leading.numerator % p == 0:
+    try:
+        fp = reduce_poly_mod_p(curve.f, p)
+    except NonIntegralError:
         return False
-    return discriminant(reduce_poly_mod_p(curve.f, p)) != 0
+    return fp.degree == curve.degree and discriminant(fp) != 0
 
 
 def affine_count_mod_p(coeffs, p: int) -> int:
@@ -240,7 +240,7 @@ def reduce_point(
         if sqrt_lc is None:
             raise ValueError("even-model infinity needs a declared sqrt of lc(f)")
         wbar = reduce_element(sqrt_lc, w)
-        if wbar * wbar % p != _lc_mod_p(curve, p):
+        if wbar * wbar % p != PrimeField(p).coerce(curve.leading):
             raise ValueError("declared sqrt of lc(f) fails mod p")
         if point.kind == INF_MINUS:
             wbar = (-wbar) % p
@@ -251,8 +251,3 @@ def reduce_point(
     if (yb * yb - horner_mod_p(fp.coeffs, xb, p)) % p != 0:
         raise ValueError("reduced point violates the reduced curve equation")
     return ReducedPoint(AFFINE, x=xb, y=yb)
-
-
-def _lc_mod_p(curve: HyperellipticCurve, p: int) -> int:
-    lc = curve.leading
-    return lc.numerator * pow(lc.denominator, -1, p) % p

@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from tpe.algebra import (
-    NonIntegralError,
     Poly,
     exact_sqrt,
-    is_prime,
     is_squarefree,
     rational_roots,
     reduce_poly_mod_p,
@@ -375,7 +373,7 @@ def _verify_family(
                 index, kind, False,
                 f"h does not split into distinct linear factors mod {doc.p}",
             )
-    except (ValueError, NonIntegralError) as exc:
+    except ValueError as exc:
         return EntryResult(index, kind, False, f"splitting test failed: {exc}")
     roots = roots_mod_p(reduce_poly_mod_p(h, doc.p))
     reductions = tuple(ReducedPoint(AFFINE, x=r, y=0) for r in sorted(roots))
@@ -419,49 +417,44 @@ def verify_tpe(
     chosen_index = None
     ok2, det2 = True, ""
     places: list[ResidueAssignment] = []
-    if p.bit_length() > 64:
-        ok2, det2 = False, f"p = {p} is beyond the 64-bit primality test"
-    elif p < 3 or not is_prime(p):
-        ok2, det2 = False, f"p = {p} is not an odd prime"
-    else:
+    try:  # PrimeField's odd-prime test reports a bad p here
+        places = split_places(tower, p)
+    except ValueError as exc:
+        ok2, det2 = False, str(exc)
+    if ok2 and not places:
+        ok2, det2 = False, f"p = {p} does not split completely in the tower"
+    if ok2 and doc.field_attestation is not None:
         try:
-            places = split_places(tower, p)
-        except (ValueError, NonIntegralError) as exc:
-            ok2, det2 = False, str(exc)
-        if ok2 and not places:
-            ok2, det2 = False, f"p = {p} does not split completely in the tower"
-        if ok2 and doc.field_attestation is not None:
-            try:
-                if not splits_completely_mod_p(curve.f, p):
-                    ok2, det2 = False, (
-                        "attested field: f does not split into distinct "
-                        f"linear factors mod {p}"
-                    )
-            except (ValueError, NonIntegralError) as exc:
-                ok2, det2 = False, f"attested field: {exc}"
-        if ok2:
-            if place_index is not None:
-                if not 0 <= place_index < len(places):
-                    ok2, det2 = False, (
-                        f"place index {place_index} out of range "
-                        f"(only {len(places)} places)"
-                    )
-                else:
-                    place, chosen_index = places[place_index], place_index
-            elif doc.place is not None:
-                cand = ResidueAssignment(p, tuple(doc.place))
-                if cand in places:
-                    place, chosen_index = cand, places.index(cand)
-                else:
-                    ok2, det2 = False, f"declared residues {doc.place} name no place over {p}"
+            if not splits_completely_mod_p(curve.f, p):
+                ok2, det2 = False, (
+                    "attested field: f does not split into distinct "
+                    f"linear factors mod {p}"
+                )
+        except ValueError as exc:
+            ok2, det2 = False, f"attested field: {exc}"
+    if ok2:
+        if place_index is not None:
+            if not 0 <= place_index < len(places):
+                ok2, det2 = False, (
+                    f"place index {place_index} out of range "
+                    f"(only {len(places)} places)"
+                )
             else:
-                place, chosen_index = places[0], 0
-        if ok2:
-            det2 = (
-                f"p = {p} splits completely ({len(places)} place(s)); "
-                f"using place #{chosen_index}"
-                + (f" {place.mapping(tower)}" if tower.k else "")
-            )
+                place, chosen_index = places[place_index], place_index
+        elif doc.place is not None:
+            cand = ResidueAssignment(p, tuple(doc.place))
+            if cand in places:
+                place, chosen_index = cand, places.index(cand)
+            else:
+                ok2, det2 = False, f"declared residues {doc.place} name no place over {p}"
+        else:
+            place, chosen_index = places[0], 0
+    if ok2:
+        det2 = (
+            f"p = {p} splits completely ({len(places)} place(s)); "
+            f"using place #{chosen_index}"
+            + (f" {place.mapping(tower)}" if tower.k else "")
+        )
     conditions.append(
         ConditionResult(
             "split-prime", ok2, det2,
@@ -522,12 +515,7 @@ def verify_tpe(
         else:
             family_degree += entry.h.degree
     t_count = len(explicit) + family_degree
-    curve_count = None
-    if ok3:
-        try:
-            curve_count = count_points_mod_p(curve, p)
-        except ValueError:
-            curve_count = None
+    curve_count = count_points_mod_p(curve, p) if ok3 else None
     ok5 = curve_count is not None and t_count >= curve_count
     det5 = (
         f"#T = {t_count} >= #C(F_{p}) = {curve_count}" if ok5
@@ -555,7 +543,7 @@ def verify_tpe(
                 images.append(reduce_point(pt, curve, place, sqrt_lc))
             for res in entry_results:
                 images.extend(res.reductions)
-        except (NonIntegralError, ValueError) as exc:
+        except ValueError as exc:
             ok6, det6 = False, f"inconsistent certificates: {exc}"
         if ok6 and len(set(images)) != t_count:
             ok6, det6 = False, (

@@ -40,7 +40,7 @@ from tpe.tower import (
     ZeroDivisorError,
     lift_poly,
     reduce_element,
-    splits_completely_mod_p,
+    split_places,
 )
 
 DEFAULT_HEIGHT_CEILING = 1_000_000  # decimal digits per numerator/denominator
@@ -129,24 +129,14 @@ class Jacobian:
     def embed(self, point) -> MumfordDivisor:
         """The class of P minus the point at infinity: (x - a, b) for affine
         P = (a, b), identity for the base point at infinity."""
-        if isinstance(point, ReducedPoint):
-            if point.kind == INF:
-                return self.identity
-            if point.kind != AFFINE:
-                raise ValueError("even-model infinity cannot be embedded")
-            a = self.field.coerce(point.x)
-            b = self.field.coerce(point.y)
-        elif isinstance(point, CurvePoint):
-            if point.kind == INF:
-                return self.identity
-            if point.kind != AFFINE:
-                raise ValueError("even-model infinity cannot be embedded")
-            a = self.field.coerce(point.x)
-            b = self.field.coerce(point.y)
-        else:
+        if not isinstance(point, (CurvePoint, ReducedPoint)):
             raise TypeError("embed expects a CurvePoint or ReducedPoint")
-        u = Poly(self.field, (-a, self.field.one))
-        v = Poly.const(self.field, b)
+        if point.kind == INF:
+            return self.identity
+        if point.kind != AFFINE:
+            raise ValueError("even-model infinity cannot be embedded")
+        u = Poly(self.field, (-point.x, self.field.one))
+        v = Poly.const(self.field, point.y)
         D = MumfordDivisor(u, v)
         if not self.on_jacobian(D):
             raise ValueError("point does not satisfy y^2 = f(x) in this domain")
@@ -358,22 +348,20 @@ def torsion_decide(
     checks n*D = 0 exactly over the number field: success certifies torsion
     of exact order n, failure refutes torsion outright.  Zero divisors or a
     breached height ceiling yield Undecidable.
+
+    `place` must be one of `split_places(tower, p)`, which also refuses a p
+    that is not an odd prime (PrimeField), a ramified p and a relation that is
+    not p-integral; good reduction is `has_good_reduction`.  Each failure is a
+    ValueError.
     """
     if not curve.odd_model:
         raise ValueError("torsion decision needs an odd-degree model")
     if tower.k > 1:
         raise ValueError("torsion decision supports at most one generator")
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if place.p != p:
-        raise ValueError("place does not lie over p")
+    if place not in split_places(tower, p):
+        raise ValueError(f"{place} is not a completely split place over p = {p}")
     if not has_good_reduction(curve, p):
         raise ValueError(f"bad reduction at {p}")
-    for i, (name, relation) in enumerate(tower.generators):
-        if not splits_completely_mod_p(relation, p):
-            raise ValueError(f"p = {p} does not split completely ({name})")
-        if relation.map_domain(PrimeField(p))(place.residues[i]) != 0:
-            raise ValueError(f"residue for {name!r} is not a root mod {p}")
     if not on_curve(point, curve):
         raise ValueError("point is not on the curve")
 

@@ -19,10 +19,9 @@ from tpe.algebra import (
     NonIntegralError,
     Poly,
     QQ,
+    PrimeField,
     discriminant,
-    is_prime,
     is_squarefree,
-    reduce_poly_mod_p,
     roots_mod_p,
     splits_completely_mod_p,
 )
@@ -369,25 +368,21 @@ class ResidueAssignment:
 def split_places(tower: TowerSpec, p: int) -> list[ResidueAssignment]:
     """All places of the tower over p, empty unless p splits completely.
 
-    p splits completely in the compositum iff it splits completely in each
-    generator field, so the assignments are the Cartesian product of the
-    per-relation root choices, in lexicographic order of residues.
-    Ramified primes (p dividing some relation discriminant) are rejected;
-    the discriminant is taken in F_p, which is exact because the relations
-    are monic and p-integral, so reduction keeps their degree.
+    This is the library's only test of "w is a completely split place over
+    p": `torsion_decide` and `verify_tpe` ask it.  p splits completely in the
+    compositum iff it splits completely in each generator field, so the
+    assignments are the Cartesian product of the per-relation root choices,
+    in lexicographic order of residues.  A p that is not an odd prime gets
+    PrimeField's ValueError (also for k = 0), a relation that is not
+    p-integral gets PrimeField.coerce's NonIntegralError, and ramified primes
+    (p dividing some relation discriminant) are rejected; the discriminant is
+    taken in F_p, which is exact because the relations are monic, so
+    reduction keeps their degree.
     """
-    if p == 2:
-        raise ValueError("p must be odd")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    field = PrimeField(p)
     root_lists = []
     for name, relation in tower.generators:
-        for c in relation.coeffs:
-            if c.denominator % p == 0:
-                raise NonIntegralError(
-                    f"relation for {name!r} is not {p}-integral"
-                )
-        rp = reduce_poly_mod_p(relation, p)
+        rp = relation.map_domain(field)
         if relation.degree >= 2 and discriminant(rp) == 0:
             raise ValueError(
                 f"p = {p} divides the discriminant of the relation "

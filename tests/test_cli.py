@@ -320,3 +320,30 @@ def test_successive_calls_share_no_parser_state(capsys, tmp_path):
     assert code == 2 and json.loads(out)["verdict"] == "undecidable"
     code, out, _ = run(capsys, torsion)
     assert code == 0 and json.loads(out)["verdict"] == "not_torsion"
+
+
+def test_torsion_json_at_a_prime_that_does_not_split(capsys, tmp_path):
+    curve = write(tmp_path, "curve.json", {"f": [-4, 0, 0, 0, 0, 1]})
+    tower = write(
+        tmp_path, "tower.json", {"generators": [{"name": "r", "relation": [-2, 0, 1]}]}
+    )
+    argv = ["torsion", "--curve", curve, "--point",
+            '{"type":"affine","x":3,"y":[[[1],1]]}', "--tower", tower, "--p", "11"]
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 2
+    assert json.loads(out) == {
+        "verdict": "inapplicable", "reason": "p = 11 does not split completely"
+    }
+    code, out, _ = run(capsys, argv)
+    assert code == 2 and out == "inapplicable: p = 11 does not split completely\n"
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [(9, "p = 9 is not an odd prime"),
+     (2**70, f"p = {2**70} is beyond the 64-bit primality test")],
+)
+def test_count_reports_the_prime_field_message(capsys, tmp_path, p, message):
+    curve = write(tmp_path, "curve.json", {"f": [7, 0, 0, 0, 0, 1]})
+    code, out, err = run(capsys, ["count", "--curve", curve, "--p", str(p)])
+    assert code == 3 and out == "" and err == f"error: {message}\n"

@@ -4,6 +4,7 @@ and reduction compatibility."""
 import importlib.util
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -18,7 +19,7 @@ from conftest import (
     qp,
     random_reduced_class,
 )
-from tpe.algebra import NonIntegralError, Poly, is_prime, is_squarefree, small_divisors
+from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, is_squarefree, small_divisors
 from tpe.curve import CurvePoint, ReducedPoint, has_good_reduction, make_curve, reduce_point
 from tpe.jacobian import (
     CertifiedTorsion,
@@ -34,7 +35,7 @@ from tpe.jacobian import (
     reduce_divisor,
     torsion_decide,
 )
-from tpe.tower import TowerSpec, split_places
+from tpe.tower import ResidueAssignment, TowerSpec, split_places
 
 C9 = make_curve(qp(9, 0, 0, 0, 0, 1))
 C1 = make_curve(qp(1, 0, 0, 0, 0, 1))
@@ -476,3 +477,57 @@ def test_neg_is_involution_negation():
     D = jac.embed(ReducedPoint("affine", x=0, y=3))
     E = jac.embed(ReducedPoint("affine", x=0, y=8))  # (0, -3)
     assert jac.neg(D) == E
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["place-over-13", "place-over-17", "residue-not-a-root", "p-2", "p-9",
+     "p-minus-11", "p-2-pow-70", "ramified", "relation-not-p-integral"],
+)
+def test_torsion_decide_refuses_a_place_that_is_not_split_over_p(case):
+    """torsion_decide runs only at a completely split place over an odd prime
+    of good reduction; every other (p, place) pair is a ValueError."""
+    rational = CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(3))
+    quadratic = CurvePoint.affine(T15.rational(3), 4 * T15.gen(0))
+    c15 = make_curve(qp(15, 1, 0, 0, 0, 1))  # good reduction at 5
+    t7 = TowerSpec([("s", qp(Fraction(1, 7), 0, 1))])
+    args = {
+        "place-over-13": (rational, C9, QTRIV, 11, split_places(QTRIV, 13)[0]),
+        "place-over-17": (quadratic, C34, T15, 11, split_places(T15, 17)[0]),
+        "residue-not-a-root": (quadratic, C34, T15, 7, ResidueAssignment(7, (2,))),
+        "p-2": (rational, C9, QTRIV, 2, ResidueAssignment(2, ())),
+        "p-9": (rational, C9, QTRIV, 9, ResidueAssignment(9, ())),
+        "p-minus-11": (rational, C9, QTRIV, -11, ResidueAssignment(-11, ())),
+        "p-2-pow-70": (rational, C9, QTRIV, 2**70, ResidueAssignment(2**70, ())),
+        "ramified": (
+            CurvePoint.affine(T15.rational(0), T15.gen(0)), c15, T15, 5,
+            ResidueAssignment(5, (0,)),
+        ),
+        "relation-not-p-integral": (
+            CurvePoint.affine(t7.rational(0), t7.rational(3)), C9, t7, 7,
+            ResidueAssignment(7, (3,)),
+        ),
+    }[case]
+    assert has_good_reduction(C9, 11) and has_good_reduction(c15, 5)
+    with pytest.raises(ValueError):
+        torsion_decide(*args)
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [(9, "p = 9 is not an odd prime"),
+     (2**70, f"p = {2**70} is beyond the 64-bit primality test")],
+)
+def test_one_message_for_a_p_that_is_not_an_odd_prime(p, message):
+    """PrimeField is the only odd-prime test; every caller reports its text."""
+    point = CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(3))
+    calls = [
+        lambda: PrimeField(p),
+        lambda: has_good_reduction(C9, p),
+        lambda: split_places(QTRIV, p),
+        lambda: split_places(T15, p),
+        lambda: torsion_decide(point, C9, QTRIV, p, ResidueAssignment(p, ())),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
