@@ -331,12 +331,6 @@ class Poly:
             e >>= 1
         return result
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def _as_poly(self, other) -> "Poly":
         if isinstance(other, Poly):
             if other.field != self.field:
@@ -438,7 +432,7 @@ class Poly:
 
     def map_domain(self, field) -> "Poly":
         """Re-coerce all coefficients into another domain."""
-        return Poly(field, [field.coerce(c) for c in self.coeffs])
+        return Poly(field, self.coeffs)
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
@@ -523,8 +517,7 @@ def is_squarefree(f: Poly) -> bool:
 
 def reduce_poly_mod_p(f: Poly, p: int) -> Poly:
     """Coefficient-wise reduction of a rational polynomial into F_p[x]."""
-    field = PrimeField(p)
-    return Poly(field, [field.coerce(c) for c in f.coeffs])
+    return Poly(PrimeField(p), f.coeffs)
 
 
 def horner_mod_p(coeffs, x: int, p: int) -> int:

@@ -79,6 +79,17 @@ def make_curve(f: Poly, allow_low_genus: bool = False) -> HyperellipticCurve:
     )
 
 
+def _good_reduction(curve: HyperellipticCurve, p: int) -> Poly | None:
+    """f mod p if C has good reduction at p (`has_good_reduction`), else None."""
+    try:
+        fp = reduce_poly_mod_p(curve.f, p)
+    except NonIntegralError:
+        return None
+    if fp.degree == curve.degree and discriminant(fp) != 0:
+        return fp
+    return None
+
+
 def has_good_reduction(curve: HyperellipticCurve, p: int) -> bool:
     """Sufficient criterion: f p-integral, p | neither lc(f) nor disc(f).
 
@@ -88,30 +99,22 @@ def has_good_reduction(curve: HyperellipticCurve, p: int) -> bool:
     f mod p keeps the degree of f, disc(f mod p) = disc(f) mod p; the
     formal-degree factor in `discriminant` keeps this true when p | deg f.
     """
-    try:
-        fp = reduce_poly_mod_p(curve.f, p)
-    except NonIntegralError:
-        return False
-    return fp.degree == curve.degree and discriminant(fp) != 0
-
-
-def affine_count_mod_p(coeffs, p: int) -> int:
-    """Affine points of y^2 = f(x) over F_p, for f given by int coefficients
-    (lowest degree first): the sum over x of 1 + legendre(f(x))."""
-    return sum(1 + legendre_symbol(horner_mod_p(coeffs, x, p), p) for x in range(p))
+    return _good_reduction(curve, p) is not None
 
 
 def count_points_mod_p(curve: HyperellipticCurve, p: int) -> int:
-    """#C(F_p) of the reduced curve, including points at infinity.
+    """#C(F_p) of the reduced curve, including points at infinity; the one
+    point count (`Jacobian.curve_point_count` calls it).  Bad reduction is
+    refused with ValueError.
 
     Sum over x of 1 + legendre(f(x)) counts the affine points; the infinity
     contribution is 1 on odd models and 2 or 0 on even models according to
     whether lc(f) is a square mod p.
     """
-    if not has_good_reduction(curve, p):
+    fp = _good_reduction(curve, p)
+    if fp is None:
         raise ValueError(f"bad reduction at {p}")
-    fp = reduce_poly_mod_p(curve.f, p)
-    total = affine_count_mod_p(fp.coeffs, p)
+    total = sum(1 + legendre_symbol(horner_mod_p(fp.coeffs, x, p), p) for x in range(p))
     if curve.odd_model:
         total += 1
     else:
@@ -148,10 +151,6 @@ class CurvePoint:
     @property
     def is_affine(self) -> bool:
         return self.kind == AFFINE
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind != AFFINE
 
     def involution(self) -> "CurvePoint":
         """The hyperelliptic involution (x, y) -> (x, -y); swaps even infinities."""

@@ -22,7 +22,6 @@ from fractions import Fraction
 from tpe.algebra import (
     Poly,
     exact_sqrt,
-    is_squarefree,
     rational_roots,
     reduce_poly_mod_p,
     roots_mod_p,
@@ -358,10 +357,8 @@ def _verify_family(
     h, curve = entry.h, doc.curve
     if h.degree < 1:
         return EntryResult(index, kind, False, "family polynomial must be nonconstant")
-    if not (curve.f % h).is_zero:
+    if not (curve.f % h).is_zero:  # f is squarefree (make_curve), so h is too
         return EntryResult(index, kind, False, "h does not divide f")
-    if not is_squarefree(h):
-        return EntryResult(index, kind, False, "h is not squarefree")
     if curve.odd_model and not is_weierstrass(doc.base_point, curve):
         return EntryResult(
             index, kind, False,

@@ -25,13 +25,11 @@ from tpe.algebra import (
     exact_sqrt,
     integer_power_classification,
     is_prime,
-    splits_completely_mod_p,
 )
 from tpe.curve import (
     AFFINE,
     CurvePoint,
     count_points_mod_p,
-    has_good_reduction,
     make_curve,
 )
 from tpe.envelope import (
@@ -105,7 +103,12 @@ class RankFixture:
             source = source or row.get("source", "")
             p = p if p is not None else row.get("p")
             label = str(row.get("residue_class", ""))
-            values = tuple(sorted(int(v) for v in row["rank0_values"]))
+            values = row["rank0_values"]
+            if not isinstance(values, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in values
+            ):
+                raise ValueError("rank0_values must be a list of integers")
+            values = tuple(sorted(values))
             classes.append((label, values))
         return cls(str(family or ""), tuple(classes), str(source or ""), p)
 
@@ -186,64 +189,33 @@ def generate_cd(
     rank = _rank_assertion(d, rank0, fixture)
     base = CurvePoint.infinity()
 
-    if r == 7:
-        tower = TowerSpec()
-        entries = (PointEntry(base, BasePointCert()),)
-        return TPEDocument(curve, base, tower, p, entries, rank, meta=meta)
-
-    if r == 9:
-        root = exact_sqrt(d)
-        if root is not None:
-            tower = TowerSpec()
-            sqrt_d = tower.rational(root)
-        else:
-            tower = TowerSpec([("s", Poly.over_q([-d, 0, 1]))])
-            sqrt_d = tower.gen(0)
-        zero = tower.rational(0)
-        entries = (
-            PointEntry(base, BasePointCert()),
-            PointEntry(
-                CurvePoint.affine(zero, sqrt_d), PrincipalDivisorCert((sqrt_d,), 5)
-            ),
-            PointEntry(
-                CurvePoint.affine(zero, -sqrt_d), PrincipalDivisorCert((-sqrt_d,), 5)
-            ),
-        )
-        return TPEDocument(curve, base, tower, p, entries, rank, meta=meta)
-
-    # r == 1: full tower Q(zeta_5, sqrt(d), d^(1/5)), minimized per d
-    gens = [("z", cyclotomic(5))]
-    sq = exact_sqrt(d)
-    if sq is None:
+    # r = 1: Q(zeta_5, sqrt(d), d^(1/5)), r = 9: Q(sqrt(d)), r = 7: Q;
+    # irrational roots only, so the tower stays minimal per d
+    sq, fifth = exact_sqrt(d), exact_fifth_root(d)
+    gens = []
+    if r == 1:
+        gens.append(("z", cyclotomic(5)))
+    if r != 7 and sq is None:
         gens.append(("s", Poly.over_q([-d, 0, 1])))
-    fifth = exact_fifth_root(d)
-    if fifth is None:
+    if r == 1 and fifth is None:
         gens.append(("u", Poly.over_q([-d, 0, 0, 0, 0, 1])))
     tower = TowerSpec(gens)
-    zeta = tower.gen_by_name("z")
-    sqrt_d = tower.rational(sq) if sq is not None else tower.gen_by_name("s")
-    fifth_d = (
-        tower.rational(fifth) if fifth is not None else tower.gen_by_name("u")
-    )
     zero = tower.rational(0)
-    entries = [
-        PointEntry(base, BasePointCert()),
-        PointEntry(
-            CurvePoint.affine(zero, sqrt_d), PrincipalDivisorCert((sqrt_d,), 5)
-        ),
-        PointEntry(
-            CurvePoint.affine(zero, -sqrt_d), PrincipalDivisorCert((-sqrt_d,), 5)
-        ),
-    ]
-    power = tower.one
-    for _ in range(5):
-        entries.append(
-            PointEntry(
-                CurvePoint.affine(-(power * fifth_d), zero),
-                WeierstrassTwoTorsionCert(),
+    entries = [PointEntry(base, BasePointCert())]
+    if r != 7:
+        sqrt_d = tower.rational(sq) if sq is not None else tower.gen_by_name("s")
+        for y in (sqrt_d, -sqrt_d):
+            entries.append(
+                PointEntry(CurvePoint.affine(zero, y), PrincipalDivisorCert((y,), 5))
             )
-        )
-        power = power * zeta
+    if r == 1:
+        zeta = tower.gen_by_name("z")
+        fifth_d = tower.rational(fifth) if fifth is not None else tower.gen_by_name("u")
+        power = tower.one
+        for _ in range(5):
+            x = -(power * fifth_d)
+            entries.append(PointEntry(CurvePoint.affine(x, zero), WeierstrassTwoTorsionCert()))
+            power = power * zeta
     return TPEDocument(curve, base, tower, p, tuple(entries), rank, meta=meta)
 
 
@@ -261,7 +233,8 @@ def generate_dd(
     the two points at infinity), and complete splitting is certified by f
     factoring into distinct linear factors mod p.  The discriminant is
     cross-checked against the closed form ((p-1)/2)^(p-1) (4+d^2)^((p-1)/2),
-    whose residue 1 mod p gives good reduction.
+    whose residue is 1 mod p.  Splitting and good reduction at p are left to
+    `verify_tpe` (conditions 2 and 3): f = x^(p-1) - 1 mod p passes both.
     """
     if not is_prime(p) or p % 4 != 3:
         raise ValueError("p must be a prime with p = 3 mod 4")
@@ -280,10 +253,6 @@ def generate_dd(
         raise ValueError("discriminant does not match the closed form")
     if formula.numerator % p != 1:
         raise ValueError("discriminant is not 1 mod p")
-    if not splits_completely_mod_p(f, p):
-        raise ValueError(f"f does not split into distinct linear factors mod {p}")
-    if not has_good_reduction(curve, p):
-        raise ValueError(f"bad reduction at {p}")
     tower = TowerSpec()
     base = CurvePoint.infinity_plus()
     entries = (

@@ -4,7 +4,9 @@ Only odd-degree (imaginary) models are supported: a reduced class is a pair
 (u, v) with u monic of degree <= g, deg v < deg u and u | v^2 - f, and the
 identity is (1, 0).  The same code runs over F_p, over Q, and over a
 single-generator number field; number-field runs guard against coefficient
-blow-up with a configurable digit ceiling.
+blow-up with a configurable digit ceiling.  A Jacobian is built from its
+curve and asks the curve module for facts about C: #C(F_p), and with it the
+refusal of bad reduction, is `count_points_mod_p`.
 
 Everything is pure and immutable, except that a Jacobian over F_p caches
 #C(F_p) on first use (two threads may both count it, with one result); an
@@ -21,14 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, is_squarefree, small_divisors
+from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, small_divisors
 from tpe.curve import (
     AFFINE,
     CurvePoint,
     HyperellipticCurve,
     INF,
     ReducedPoint,
-    affine_count_mod_p,
+    count_points_mod_p,
     has_good_reduction,
     on_curve,
     reduce_point,
@@ -38,7 +40,6 @@ from tpe.tower import (
     TowerElement,
     TowerSpec,
     ZeroDivisorError,
-    lift_poly,
     reduce_element,
     split_places,
 )
@@ -75,24 +76,24 @@ class MumfordDivisor:
 
 
 class Jacobian:
-    """The divisor class group of an odd-model curve over an exact field."""
+    """The divisor class group of an odd-model curve over an exact field,
+    built by `over_prime_field`, `over_tower` or `over_q`.  The one test is
+    that f keeps its odd degree in the field: it refuses even models and a
+    p dividing lc(f)."""
 
-    def __init__(self, field, f: Poly, genus: int, height_ceiling: int | None = None):
-        if f.field != field:
-            raise ValueError("curve polynomial domain mismatch")
-        if f.degree != 2 * genus + 1:
+    def __init__(self, curve: HyperellipticCurve, field, height_ceiling: int | None = None):
+        f = curve.f.map_domain(field)
+        if not curve.odd_model or f.degree != curve.degree:
             raise ValueError("Cantor arithmetic needs an odd-degree model")
+        self.curve = curve
         self.field = field
         self.f = f
-        self.genus = genus
+        self.genus = curve.genus
         self.height_ceiling = height_ceiling
 
     @classmethod
     def over_prime_field(cls, curve: HyperellipticCurve, p: int) -> "Jacobian":
-        if not curve.odd_model:
-            raise ValueError("Cantor arithmetic needs an odd-degree model")
-        field = PrimeField(p)
-        return cls(field, curve.f.map_domain(field), curve.genus)
+        return cls(curve, PrimeField(p))
 
     @classmethod
     def over_tower(
@@ -101,12 +102,9 @@ class Jacobian:
         tower: TowerSpec,
         height_ceiling: int | None = None,
     ) -> "Jacobian":
-        if not curve.odd_model:
-            raise ValueError("Cantor arithmetic needs an odd-degree model")
         if tower.k > 1:
             raise ValueError("exact arithmetic supports at most one generator")
-        height_ceiling = resolve_height_ceiling(height_ceiling)
-        return cls(tower, lift_poly(curve.f, tower), curve.genus, height_ceiling)
+        return cls(curve, tower, resolve_height_ceiling(height_ceiling))
 
     @classmethod
     def over_q(cls, curve: HyperellipticCurve, height_ceiling: int | None = None):
@@ -114,12 +112,9 @@ class Jacobian:
 
     @cached_property
     def curve_point_count(self) -> int:
-        """#C(F_p) of y^2 = f(x) over a prime field, counted on first use;
-        refused with ValueError when f mod p is not squarefree."""
-        p = self.field.p
-        if not is_squarefree(self.f):
-            raise ValueError(f"f is not squarefree mod {p}")
-        return affine_count_mod_p(self.f.coeffs, p) + 1  # one point at infinity
+        """#C(F_p) over a prime field, counted on first use by
+        `count_points_mod_p`, which refuses bad reduction with ValueError."""
+        return count_points_mod_p(self.curve, self.field.p)
 
     @property
     def identity(self) -> MumfordDivisor:

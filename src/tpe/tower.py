@@ -351,7 +351,7 @@ def tower_invert(a: TowerElement) -> TowerElement:
 
 def lift_poly(f: Poly, tower: TowerSpec) -> Poly:
     """Re-coerce a rational polynomial into one with tower coefficients."""
-    return Poly(tower, [tower.rational(c) for c in f.coeffs])
+    return Poly(tower, f.coeffs)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """CLI behavior: exit codes, canonical JSON determinism, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -347,3 +351,32 @@ def test_count_reports_the_prime_field_message(capsys, tmp_path, p, message):
     curve = write(tmp_path, "curve.json", {"f": [7, 0, 0, 0, 0, 1]})
     code, out, err = run(capsys, ["count", "--curve", curve, "--p", str(p)])
     assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("values", ["5", "[null]", "[[1]]", "[17.9]", "[true]"])
+def test_malformed_rank_fixture_exits_3(capsys, tmp_path, values):
+    path = tmp_path / "fx.json"
+    path.write_text(f'{{"family": "cd", "residue_class": "7", "rank0_values": {values}}}')
+    for argv in (
+        ["family", "cd", "--d", "18", "--rank-fixture", str(path)],
+        ["sweep", "cd", "--range", "1..3", "--rank-fixture", str(path)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error:")
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    """`python -m tpe.cli verify` gives the same verdict as `tpe verify`:
+    the bundled quadratic document is refuted (exit 1)."""
+    path = tmp_path / "quadratic.json"
+    path.write_text(bundled_document_text("quadratic_sqrt15.json"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tpe.cli", "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "RESULT: NOT VERIFIED" in proc.stdout

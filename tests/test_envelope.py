@@ -126,6 +126,20 @@ def test_weierstrass_family_certificate():
     assert not verify_certificate(notsf, dd).ok
 
 
+def test_family_entry_squarefree_over_q_but_not_mod_p():
+    """h = x^2 - 5 divides f = (x^2 - 5)(x^3 + 2), which is squarefree over
+    Q, but h = x^2 mod 5: the splitting test refuses the double root."""
+    curve = make_curve(qp(-10, 0, 2, -5, 0, 1))
+    base = CurvePoint.infinity()
+    doc = TPEDocument(
+        curve, base, QTRIV, 5, (PointEntry(base, BasePointCert()),),
+        RankAssertion(False, "test"),
+    )
+    res = verify_certificate(WeierstrassFamilyEntry(qp(-5, 0, 1)), doc)
+    assert not res.ok
+    assert res.detail == "h does not split into distinct linear factors mod 5"
+
+
 def test_even_infinity_certificate():
     dd = generate_dd(7, 42)
     assert verify_certificate(dd.entries[0], dd).ok

@@ -1,11 +1,12 @@
 """Family generators, the six-case analysis as an oracle, fixtures, sweeps."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import qp
-from tpe.algebra import cyclotomic, discriminant
+from tpe.algebra import cyclotomic, discriminant, is_prime
 from tpe.envelope import theorem_conclusion, verify_tpe
 from tpe.families import (
     Inapplicable,
@@ -78,6 +79,23 @@ def test_dd_documents():
         assert report.t_count == 8 == report.curve_count
     doc11 = generate_dd(11, 22)
     assert verify_tpe(doc11).t_count == 12
+
+
+@pytest.mark.parametrize("p", [p for p in range(7, 200) if is_prime(p) and p % 4 == 3])
+def test_dd_splits_with_good_reduction_at_its_prime(p):
+    """With p | d, f = x^(p-1) - 1 mod p: p - 1 distinct roots, found by
+    brute force, and verify_tpe passes conditions 2 and 3."""
+    for d in (p, -2 * p):
+        doc = generate_dd(p, d)
+        coeffs = [int(c) % p for c in doc.curve.f.coeffs]
+        roots = [
+            x for x in range(p)
+            if sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p == 0
+        ]
+        assert len(roots) == p - 1
+        report = verify_tpe(doc)
+        assert report.condition("split-prime").passed
+        assert report.condition("good-reduction").passed
 
 
 def test_dd_discriminant_instances():
@@ -189,6 +207,17 @@ def test_fixture_load_from_path(tmp_path):
     assert doc.rank_assertion.claimed and doc.rank_assertion.source == "unit test"
     doc29 = generate_cd(29, fixture=fx)
     assert not doc29.rank_assertion.claimed
+
+
+@pytest.mark.parametrize("values", ["5", "[null]", "[[1]]", "[17.9]", "[true]"])
+def test_fixture_refuses_values_that_are_not_ints(values):
+    """Only a list of ints is a rank-0 list: 17.9 is not truncated to 17,
+    and true is not read as 1."""
+    row = json.loads(f'{{"family": "cd", "rank0_values": {values}}}')
+    with pytest.raises(ValueError):
+        RankFixture.from_obj(row)
+    with pytest.raises(ValueError):
+        RankFixture.from_obj([row])
 
 
 def test_sweep_census_matches_fixture():

@@ -20,7 +20,14 @@ from conftest import (
     random_reduced_class,
 )
 from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, is_squarefree, small_divisors
-from tpe.curve import CurvePoint, ReducedPoint, has_good_reduction, make_curve, reduce_point
+from tpe.curve import (
+    CurvePoint,
+    ReducedPoint,
+    count_points_mod_p,
+    has_good_reduction,
+    make_curve,
+    reduce_point,
+)
 from tpe.jacobian import (
     CertifiedTorsion,
     HeightLimitExceeded,
@@ -60,6 +67,23 @@ def test_embed_rejects_even_model():
     even = make_curve(qp(-1, 0, 0, 42, 0, 0, 1))
     with pytest.raises(ValueError):
         Jacobian.over_prime_field(even, 7)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1, 0, 0, 0, 0, 7),  # 7x^5 + 1: 7 divides lc(f)
+        (-1, 0, 0, 42, 0, 0, 1),  # even model
+        (1, 0, 0, 0, 0, 1, 7),  # 7x^6 + x^5 + 1: even model of degree 5 mod 7
+    ],
+)
+def test_over_prime_field_needs_an_odd_model_of_the_same_degree(coeffs):
+    curve = make_curve(qp(*coeffs))
+    with pytest.raises(ValueError, match="Cantor arithmetic needs an odd-degree model"):
+        Jacobian.over_prime_field(curve, 7)
+    if not curve.odd_model:
+        with pytest.raises(ValueError, match="Cantor arithmetic needs an odd-degree model"):
+            Jacobian.over_q(curve)
 
 
 def test_embed_rejects_off_curve_points():
@@ -260,6 +284,7 @@ def test_narrowed_interval_holds_oracle_order(genus, p, curves):
             continue
         jac = Jacobian.over_prime_field(curve, p)
         assert jac.curve_point_count == oracle.count_points(f, p, 1)
+        assert jac.curve_point_count == count_points_mod_p(curve, p)
         lo, hi = class_group_interval_from_count(p, genus, jac.curve_point_count)
         group = oracle.jacobian_order(f, p)
         assert 0 <= lo <= group <= hi, (f, lo, group, hi)
