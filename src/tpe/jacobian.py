@@ -8,6 +8,13 @@ blow-up with a configurable digit ceiling.  A Jacobian is built from its
 curve and asks the curve module for facts about C: #C(F_p), and with it the
 refusal of bad reduction, is `count_points_mod_p`.
 
+Addition is one Cantor composition that skips the steps whose outcome is
+known (doublings, coprime u's); multiplication is double-and-add from the
+lowest set bit.  The order of a class over F_p is a baby-step giant-step
+search over the interval for #J(F_p) narrowed by #C(F_p): a table of +-j*D
+for j < s, giant steps of stride 2s - 1, and the order recovered from the
+multiple found with a product tree over its primes.
+
 Everything is pure and immutable, except that a Jacobian over F_p caches
 #C(F_p) on first use (two threads may both count it, with one result); an
 order search over F_p is internally sequential, but independent torsion
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, small_divisors
+from tpe.algebra import NonIntegralError, Poly, PrimeField
 from tpe.curve import (
     AFFINE,
     CurvePoint,
@@ -148,16 +155,35 @@ class Jacobian:
         return MumfordDivisor(D.u, (-D.v) % D.u)
 
     def add(self, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
-        """Cantor composition followed by reduction to deg u <= g."""
-        field = self.field
+        """Cantor composition followed by reduction to deg u <= g.
+
+        Composition skips the steps whose result is known in advance.  A
+        doubling takes (d1, e1, e2) = (u1, 0, 1), which is what u1.xgcd(u1)
+        returns for a monic u1.  When u1 and u2 are coprime (d1 = 1, the
+        generic sum) the second xgcd and the s3 term (multiplied by 0) go:
+        v is the CRT lift (e1 u1 v2 + e2 u2 v1) mod u1 u2 of v1 mod u1 and
+        v2 mod u2, which Cantor's v also is.  A d of 1 is never divided by.
+        A reduced (u, v) is unique, so the sum is the one full Cantor gives.
+        """
         u1, v1 = D1.u, D1.v
         u2, v2 = D2.u, D2.v
-        d1, e1, e2 = u1.xgcd(u2)
-        d, c1, c2 = d1.xgcd(v1 + v2)
-        s1, s2, s3 = c1 * e1, c1 * e2, c2
-        u = (u1 * u2).exact_div(d * d)
-        mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + self.f)
-        v = mixed.exact_div(d) % u
+        if D1 == D2:
+            d1, e1, e2 = u1, Poly(self.field), Poly.const(self.field, self.field.one)
+        else:
+            d1, e1, e2 = u1.xgcd(u2)
+        if d1.degree == 0:
+            u = u1 * u2
+            v = (e1 * u1 * v2 + e2 * u2 * v1) % u
+        else:
+            d, c1, c2 = d1.xgcd(v1 + v2)
+            s1, s2, s3 = c1 * e1, c1 * e2, c2
+            mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + self.f)
+            if d.degree == 0:
+                u = u1 * u2
+            else:
+                u = (u1 * u2).exact_div(d * d)
+                mixed = mixed.exact_div(d)
+            v = mixed % u
         while u.degree > self.genus:
             u_next = (self.f - v * v).exact_div(u).monic()
             v = (-v) % u_next
@@ -167,17 +193,25 @@ class Jacobian:
         return result
 
     def mul(self, n: int, D: MumfordDivisor) -> MumfordDivisor:
-        """n-fold sum by double-and-add; n must be nonnegative."""
+        """n-fold sum by double-and-add from the lowest set bit of n; n must
+        be nonnegative.  An odd n height-checks D itself, as adding D to
+        the identity would."""
         if n < 0:
             raise ValueError("scalar must be nonnegative")
-        acc = self.identity
-        base = D
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
+        if n == 0:
+            return self.identity
+        if n & 1:
+            self._check_height(D)
+        while not n & 1:
+            D = self.add(D, D)
             n >>= 1
-            if n:
-                base = self.add(base, base)
+        acc = D
+        n >>= 1
+        while n:
+            D = self.add(D, D)
+            if n & 1:
+                acc = self.add(acc, D)
+            n >>= 1
         return acc
 
     def _check_height(self, D: MumfordDivisor):
@@ -246,44 +280,82 @@ def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
 
     The interval lo <= #J(F_p) <= hi narrowed by #C(F_p) (counted once per
     Jacobian) holds a multiple of the order.  Baby steps j*D for
-    j < s = isqrt(hi - lo) + 1 return any order below s directly; giant
-    steps lo*D + i*s*D meet a baby step at some m = lo + i*s - j with
-    m*D = 0.  The order is then recovered one prime power at a time: for
-    q^e exactly dividing m, (m/q^e)*D is multiplied by q until it vanishes.
-    Finding no m means the inputs were inconsistent.
+    j < s = isqrt((hi - lo + 1) // 2) + 1 return any order below s
+    directly; the table matches both j*D and -j*D (negation costs no
+    addition; +j wins a collision), so each giant step g*D covers the
+    2s - 1 multiples g - s < m < g + s.  Giant steps run at multiples of
+    the stride t = 2s - 1 from q0*t, q0 = (lo + s - 1) // t, the first
+    whose window reaches lo, and the first match gives m > 0 with m*D = 0.
+    The order is recovered from m's prime powers with a product tree
+    (Sutherland 2007).  Finding no m means the inputs were inconsistent.
     """
     if not isinstance(jac.field, PrimeField):
         raise TypeError("divisor_order runs over a prime field")
     lo, hi = class_group_interval_from_count(jac.field.p, jac.genus, jac.curve_point_count)
-    s = math.isqrt(hi - lo) + 1
+    s = math.isqrt((hi - lo + 1) // 2) + 1
     zero = jac.identity
     baby = {zero: 0}
-    acc = D
+    prev, acc = zero, D
     for j in range(1, s):
         if acc == zero:
             return j
         baby[acc] = j
-        acc = jac.add(acc, D)
-    # the order is at least s, so the baby steps are distinct; acc = s*D
-    giant = jac.mul(lo, D)
-    for i in range(s + 1):
+        baby.setdefault(jac.neg(acc), -j)
+        prev, acc = acc, jac.add(acc, D)
+    # the order is at least s, so the +j entries are distinct; acc = s*D
+    t = 2 * s - 1
+    step = jac.add(acc, prev)
+    q0 = (lo + s - 1) // t
+    giant = jac.mul(q0, step)
+    for g in range(q0 * t, hi + s, t):
         j = baby.get(giant)
-        if j is not None and lo + i * s > j:
-            m = lo + i * s - j
-            break
-        giant = jac.add(giant, acc)
-    else:
-        raise RuntimeError("order search exceeded the class-group bound")
-    order = 1
-    for q in filter(is_prime, small_divisors(m)):
-        k = m
-        while k % q == 0:
-            k //= q
-        E = jac.mul(k, D)
-        while E != zero:
-            E = jac.mul(q, E)
-            order *= q
-    return order
+        if j is not None and g > j:
+            return _order_dividing(jac, D, _prime_powers(g - j))
+        giant = jac.add(giant, step)
+    raise RuntimeError("order search exceeded the class-group bound")
+
+
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    """The (q, e) with q^e exactly dividing m >= 1, by trial division."""
+    out = []
+    q = 2
+    while q * q <= m:
+        if m % q == 0:
+            e = 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            out.append((q, e))
+        q += 1 if q == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _order_dividing(jac: Jacobian, D: MumfordDivisor, factors: list[tuple[int, int]]) -> int:
+    """Order of D, given that it divides the product of q^e over `factors`.
+
+    A product tree: D times the right half's product has the left half's
+    part of the order, and the other way round.  At one prime the order is
+    q^k for the first k with q^k*D = 0, and q^e when no k < e gives 0."""
+    if D == jac.identity:
+        return 1
+    if len(factors) == 1:
+        (q, e), = factors
+        for k in range(1, e):
+            D = jac.mul(q, D)
+            if D == jac.identity:
+                return q**k
+        return q**e
+    half = len(factors) // 2
+    left, right = factors[:half], factors[half:]
+    return _order_dividing(jac, jac.mul(_product(right), D), left) * _order_dividing(
+        jac, jac.mul(_product(left), D), right
+    )
+
+
+def _product(factors: list[tuple[int, int]]) -> int:
+    return math.prod(q**e for q, e in factors)
 
 
 def reduce_divisor(

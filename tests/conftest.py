@@ -1,8 +1,9 @@
 """Shared helpers: independent oracles kept deliberately separate from the
 implementation paths they check (Sylvester determinants for resultants,
-brute-force point counts, enumeration square roots, linear order scans,
-baby-step giant-step over the generic Hasse-Weil interval and enumerated
-Jacobian orders)."""
+brute-force point counts, enumeration square roots, Cantor's full
+composition, linear order scans, baby-step giant-step over the generic
+Hasse-Weil interval and over the narrowed one, and enumerated Jacobian
+orders)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,13 @@ from fractions import Fraction
 
 from tpe.algebra import Poly, QQ, is_prime, legendre_symbol, small_divisors
 from tpe.curve import CurvePoint, ReducedPoint
-from tpe.jacobian import Jacobian, class_group_bound, class_group_interval
+from tpe.jacobian import (
+    Jacobian,
+    MumfordDivisor,
+    class_group_bound,
+    class_group_interval,
+    class_group_interval_from_count,
+)
 
 
 def qp(*coeffs) -> Poly:
@@ -108,6 +115,25 @@ def random_reduced_class(jac: Jacobian, rng: random.Random):
             return D
 
 
+def cantor_add_reference(jac: Jacobian, D1, D2):
+    """D1 + D2 by Cantor's composition with every step spelled out: two
+    xgcds, the s3 term and both exact divisions by d, whatever d is; then
+    reduction to deg u <= g."""
+    u1, v1 = D1.u, D1.v
+    u2, v2 = D2.u, D2.v
+    d1, e1, e2 = u1.xgcd(u2)
+    d, c1, c2 = d1.xgcd(v1 + v2)
+    s1, s2, s3 = c1 * e1, c1 * e2, c2
+    u = (u1 * u2).exact_div(d * d)
+    mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + jac.f)
+    v = mixed.exact_div(d) % u
+    while u.degree > jac.genus:
+        u_next = (jac.f - v * v).exact_div(u).monic()
+        v = (-v) % u_next
+        u = u_next
+    return MumfordDivisor(u, v)
+
+
 def linear_order(jac: Jacobian, D) -> int:
     """Order of a class over F_p by one Cantor addition per step until the
     identity: the linear scan that baby-step giant-step replaced."""
@@ -148,6 +174,42 @@ def hasse_weil_order(jac: Jacobian, D) -> int:
         while m % q == 0 and m // q >= s and jac.mul(m // q, D) == zero:
             m //= q
     return m
+
+
+def narrowed_order(jac: Jacobian, D) -> int:
+    """Order of a class over F_p by baby-step giant-step over the interval
+    narrowed by #C(F_p): s = isqrt(hi - lo) + 1 baby steps j*D, giant steps
+    lo*D + i*s*D, and the order recovered from the first multiple m one
+    prime power at a time, with one (m/q^e)*D per prime q of m."""
+    lo, hi = class_group_interval_from_count(jac.field.p, jac.genus, jac.curve_point_count)
+    s = math.isqrt(hi - lo) + 1
+    zero = jac.identity
+    baby = {zero: 0}
+    acc = D
+    for j in range(1, s):
+        if acc == zero:
+            return j
+        baby[acc] = j
+        acc = jac.add(acc, D)
+    giant = jac.mul(lo, D)
+    for i in range(s + 1):
+        j = baby.get(giant)
+        if j is not None and lo + i * s > j:
+            m = lo + i * s - j
+            break
+        giant = jac.add(giant, acc)
+    else:
+        raise AssertionError("no multiple of the order within the narrowed interval")
+    order = 1
+    for q in filter(is_prime, small_divisors(m)):
+        k = m
+        while k % q == 0:
+            k //= q
+        E = jac.mul(k, D)
+        while E != zero:
+            E = jac.mul(q, E)
+            order *= q
+    return order
 
 
 def mumford_classes(f: list[int], p: int, genus: int) -> list[tuple[list[int], list[int]]]:

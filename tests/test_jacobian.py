@@ -13,9 +13,11 @@ import pytest
 
 from conftest import (
     brute_force_count,
+    cantor_add_reference,
     hasse_weil_order,
     linear_order,
     mumford_classes,
+    narrowed_order,
     qp,
     random_reduced_class,
 )
@@ -325,24 +327,155 @@ def test_group_axioms_over_enumerated_classes(genus, p):
         assert jac.add(S, D3) == jac.add(D1, jac.add(D2, D3))
 
 
-def test_cantor_over_fp_matches_exact_q_addition_reduced():
-    """Reduction mod p is a homomorphism: F_p Cantor addition of reduced
-    classes equals the exact addition over Q, reduced by reduce_divisor.
-    y^2 = x(x^2 - 1)(x - 2)(x - 3) + (x^2 + x + 2)^2 has the integral points
-    (a, +-(a^2 + a + 2)) for a in -1..3, distinct mod every p >= 5."""
+# odd models at p = 3 whose narrowed interval starts at lo = 0, so the first
+# giant step is 0*D and matches the baby step 0, which is not a multiple m > 0;
+# p + 1 - b > 0 for p >= 5 (b = isqrt(4p) + 1), so lo = 0 needs p = 3
+LO_ZERO_CURVES = {2: [0, 1, 0, 0, 0, 1], 3: [0, 1, 0, 0, 0, 0, 1, 1]}
+
+
+def _enumerated(jac: Jacobian, f, genus: int) -> list[MumfordDivisor]:
+    return [
+        MumfordDivisor(Poly(jac.field, u), Poly(jac.field, v))
+        for u, v in mumford_classes(f, jac.field.p, genus)
+    ]
+
+
+@pytest.mark.parametrize(
+    "genus, p", [(g, p) for g in (1, 2) for p in (3, 5, 7)] + [(3, 3)]
+)
+def test_add_matches_full_cantor_on_every_pair(genus, p):
+    """Jacobian.add equals Cantor's full composition bit for bit on every
+    ordered pair of J(F_p): D + D, D + 0, 0 + D, D + (-D) and coprime u's
+    all occur, and from genus 2 on u's that share a root but not D + (-D)."""
+    curves = [ORACLE_CURVES[genus]] + ([LO_ZERO_CURVES[genus]] if p == 3 and genus > 1 else [])
+    kinds = set()
+    for f in curves:
+        jac = Jacobian.over_prime_field(make_curve(qp(*f), allow_low_genus=True), p)
+        pool = _enumerated(jac, f, genus)
+        for D1 in pool:
+            for D2 in pool:
+                assert jac.add(D1, D2) == cantor_add_reference(jac, D1, D2), (D1, D2)
+                if D1 == D2:
+                    kinds.add("double")
+                elif D2 == jac.neg(D1) and D1.u.degree:
+                    kinds.add("inverse")
+                elif D1.u.gcd(D2.u).degree > 0:
+                    kinds.add("common root")
+                elif D1.u.degree and D2.u.degree:
+                    kinds.add("coprime")
+    assert kinds == {"double", "inverse", "coprime"} | ({"common root"} if genus > 1 else set())
+
+
+@pytest.mark.parametrize("tower", [QTRIV, TowerSpec([("s", qp(-151, 0, 1))])], ids=["Q", "Q(sqrt151)"])
+def test_add_matches_full_cantor_over_number_fields(tower):
+    """Over Q and Q(sqrt c) the sums of points and of pairwise sums, the
+    doubles and D + (-D) equal Cantor's full composition."""
+    jac, classes = _points_and_sums_over(tower)
+    rng = random.Random(97)
+    pairs = [(D, D) for D in classes] + [(D, jac.neg(D)) for D in classes]
+    pairs += [tuple(rng.sample(classes, 2)) for _ in range(150)]
+    for D1, D2 in pairs:
+        assert jac.add(D1, D2) == cantor_add_reference(jac, D1, D2), (D1, D2)
+
+
+def test_mul_is_repeated_addition():
+    """mul(n, D) is n - 1 additions of D to D for n <= 40 and the identity
+    for n = 0, over F_p in genus 2 and 3 and over Q."""
+    rng = random.Random(101)
+    jacs = [_oracle_jacobian(2, 101), _oracle_jacobian(3, 19)]
+    classes = [(jac, random_reduced_class(jac, rng)) for jac in jacs]
+    jq, exact = _points_and_sums_over(QTRIV)
+    classes.append((jq, exact[0]))
+    for jac, D in classes:
+        assert jac.mul(0, D) == jac.identity
+        acc = D
+        for n in range(1, 41):
+            assert jac.mul(n, D) == acc, n
+            acc = jac.add(acc, D)
+
+
+def test_mul_height_checks_like_addition_from_the_identity():
+    """With a one-digit ceiling (19 bits) the class of (2^20, 1) on
+    y^2 = x^5 + 1 - 2^100 breaches it itself: mul(1, D) and mul(3, D) raise,
+    as adding D to the identity would, and the torsion decision is
+    Undecidable."""
+    x0 = 2**20
+    curve = make_curve(qp(1 - x0**5, 0, 0, 0, 0, 1))
+    point = CurvePoint.affine(QTRIV.rational(x0), QTRIV.rational(1))
+    jac = Jacobian.over_q(curve, height_ceiling=1)
+    D = jac.embed(point)
+    for n in (1, 3):
+        with pytest.raises(HeightLimitExceeded):
+            jac.mul(n, D)
+    place = split_places(QTRIV, 7)[0]
+    assert isinstance(torsion_decide(point, curve, QTRIV, 7, place, height_ceiling=1), Undecidable)
+
+
+@pytest.mark.parametrize("genus", (1, 2, 3))
+def test_divisor_order_matches_oracle_order_searches(genus):
+    """divisor_order equals the one-prime-at-a-time search over the narrowed
+    interval and the search over the generic Hasse-Weil interval, on every
+    class at small p and random classes up to p = 101.  The cases the ±
+    table and the product tree must get right all occur: orders in [s, 2s),
+    where +j*D and -k*D collide; lo = 0, where the giant step 0*D matches
+    the baby step 0 and m = 0 is refused; in genus 1 an interval of width 1;
+    and orders with three distinct primes, where the tree recurses twice."""
+    rng = random.Random(103 + genus)
+    primes = ORACLE_PRIMES + ((101,) if genus < 3 else ())
+    cases = [(ORACLE_CURVES[genus], p) for p in primes]
+    if genus > 1:
+        cases.append((LO_ZERO_CURVES[genus], 3))
+    seen = set()
+    for f, p in cases:
+        jac = Jacobian.over_prime_field(make_curve(qp(*f), allow_low_genus=True), p)
+        lo, hi = class_group_interval_from_count(p, genus, jac.curve_point_count)
+        s = isqrt((hi - lo + 1) // 2) + 1
+        if p <= (7 if genus < 3 else 3):
+            classes = _enumerated(jac, f, genus)
+        else:
+            classes = [random_reduced_class(jac, rng) for _ in range(8 if genus < 3 else 3)]
+        for D in classes:
+            n = divisor_order(jac, D)
+            assert n == narrowed_order(jac, D) == hasse_weil_order(jac, D), (p, f, D)
+            if s <= n < 2 * s:
+                seen.add("collision")
+            if lo == 0 and n >= s:
+                seen.add("lo = 0")
+            if lo == hi:
+                seen.add("width 1")
+            if sum(map(is_prime, small_divisors(n))) >= 3:
+                seen.add("three primes")
+    assert seen == {"collision", "three primes", "width 1" if genus == 1 else "lo = 0"}
+
+
+def _points_and_sums_over(tower: TowerSpec):
+    """y^2 = x(x^2 - 1)(x - 2)(x - 3) + (x^2 + x + 2)^2 over `tower`, with
+    the integral points (a, +-(a^2 + a + 2)) for a in -1..3, distinct mod
+    every p >= 5, and over Q(sqrt 151) also (4, +-2 sqrt 151)
+    (f(4) = 604 = 4 * 151): the Jacobian, and the class of each point
+    followed by each pairwise sum."""
     xs = (-1, 0, 1, 2, 3)
     v = qp(2, 1, 1)
     prod = qp(1)
     for a in xs:
         prod = prod * qp(-a, 1)
     curve = make_curve(prod + v * v)
-    jq = Jacobian.over_q(curve)
+    jac = Jacobian.over_tower(curve, tower)
     points = [
-        jq.embed(CurvePoint.affine(QTRIV.rational(a), QTRIV.rational(s * v(a))))
-        for a in xs
-        for s in (1, -1)
+        CurvePoint.affine(tower.rational(a), tower.rational(s * v(a))) for a in xs for s in (1, -1)
     ]
-    classes = points + [jq.add(P, Q) for P, Q in itertools.combinations(points, 2)]
+    if tower.k:
+        points += [CurvePoint.affine(tower.rational(4), s * 2 * tower.gen(0)) for s in (1, -1)]
+    classes = [jac.embed(P) for P in points]
+    return jac, classes + [jac.add(P, Q) for P, Q in itertools.combinations(classes, 2)]
+
+
+def test_cantor_over_fp_matches_exact_q_addition_reduced():
+    """Reduction mod p is a homomorphism: F_p Cantor addition of reduced
+    classes equals the exact addition over Q, reduced by reduce_divisor, on
+    the integral points of `_points_and_sums_over` and their sums."""
+    jq, classes = _points_and_sums_over(QTRIV)
+    curve = jq.curve
     rng = random.Random(89)
     checked = 0
     for p in (5, 7, 11, 13):
