@@ -28,7 +28,7 @@ from tpe.algebra import (
     poly_str,
     reduce_poly_mod_p,
 )
-from tpe.tower import ResidueAssignment, TowerElement, lift_poly, reduce_element
+from tpe.tower import ResidueAssignment, TowerElement, reduce_element
 
 AFFINE = "affine"
 INF = "infinity"
@@ -175,9 +175,7 @@ def on_curve(point: CurvePoint, curve: HyperellipticCurve) -> bool:
         return curve.odd_model
     if point.kind in (INF_PLUS, INF_MINUS):
         return not curve.odd_model
-    tower = point.x.tower
-    f_t = lift_poly(curve.f, tower)
-    return point.y * point.y == f_t(point.x)
+    return point.y * point.y == curve.f.map_domain(point.x.tower)(point.x)
 
 
 def is_weierstrass(point: CurvePoint, curve: HyperellipticCurve) -> bool:

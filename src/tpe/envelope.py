@@ -46,7 +46,6 @@ from tpe.tower import (
     ResidueAssignment,
     TowerElement,
     TowerSpec,
-    lift_poly,
     split_places,
 )
 
@@ -330,7 +329,7 @@ def _verify_principal(
         return EntryResult(index, kind, False, f"deg v = {v.degree} exceeds the genus")
     if v(point.x) != point.y:
         return EntryResult(index, kind, False, "v(a) differs from the y-coordinate")
-    g = v * v - lift_poly(curve.f, tower)
+    g = v * v - curve.f.map_domain(tower)
     if cert.m != g.degree:
         return EntryResult(
             index, kind, False,

@@ -13,7 +13,9 @@ known (doublings, coprime u's); multiplication is double-and-add from the
 lowest set bit.  The order of a class over F_p is a baby-step giant-step
 search over the interval for #J(F_p) narrowed by #C(F_p): a table of +-j*D
 for j < s, giant steps of stride 2s - 1, and the order recovered from the
-multiple found with a product tree over its primes.
+multiple found with a product tree over its primes.  The exact torsion
+check decides n*D = 0 by comparing ceil(n/2)*D with -floor(n/2)*D, so its
+height ceiling bounds the half multiple, about a quarter of the bits of n*D.
 
 Everything is pure and immutable, except that a Jacobian over F_p caches
 #C(F_p) on first use (two threads may both count it, with one result); an
@@ -413,8 +415,12 @@ def torsion_decide(
     injective on the torsion subgroup, so a torsion class has the same order
     n as its reduction.  The procedure finds n over F_p (divisor_order), then
     checks n*D = 0 exactly over the number field: success certifies torsion
-    of exact order n, failure refutes torsion outright.  Zero divisors or a
-    breached height ceiling yield Undecidable.
+    of exact order n, failure refutes torsion outright.  n*D = 0 is decided
+    by comparing ceil(n/2)*D with -floor(n/2)*D, the latter one addition of
+    -D away (none for even n): their sum is n*D and a reduced (u, v) is
+    unique, so the comparison is exact, and the height-n^2 multiple n*D is
+    never built.  Zero divisors, or a coefficient of ceil(n/2)*D beyond the
+    height ceiling, yield Undecidable.
 
     `place` must be one of `split_places(tower, p)`, which also refuses a p
     that is not an odd prime (PrimeField), a ramified p and a relation that is
@@ -442,9 +448,9 @@ def torsion_decide(
     jac_f = Jacobian.over_tower(curve, tower, height_ceiling)
     try:
         D = jac_f.embed(point)
-        nD = jac_f.mul(n, D)
+        A = jac_f.mul((n + 1) // 2, D)
+        B = jac_f.add(A, jac_f.neg(D)) if n & 1 else A
+        killed = A == jac_f.neg(B)
     except (ZeroDivisorError, HeightLimitExceeded) as exc:
         return Undecidable(str(exc))
-    if nD == jac_f.identity:
-        return CertifiedTorsion(n)
-    return NotTorsion()
+    return CertifiedTorsion(n) if killed else NotTorsion()

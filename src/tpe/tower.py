@@ -349,11 +349,6 @@ def tower_invert(a: TowerElement) -> TowerElement:
     return tower.element({(i,): c for i, c in enumerate(s.coeffs)})
 
 
-def lift_poly(f: Poly, tower: TowerSpec) -> Poly:
-    """Re-coerce a rational polynomial into one with tower coefficients."""
-    return Poly(tower, f.coeffs)
-
-
 @dataclass(frozen=True)
 class ResidueAssignment:
     """A completely split place: the prime and one root of each relation."""

@@ -2,8 +2,8 @@
 implementation paths they check (Sylvester determinants for resultants,
 brute-force point counts, enumeration square roots, Cantor's full
 composition, linear order scans, baby-step giant-step over the generic
-Hasse-Weil interval and over the narrowed one, and enumerated Jacobian
-orders)."""
+Hasse-Weil interval and over the narrowed one, enumerated Jacobian orders,
+and the exact n*D = 0 built in full)."""
 
 from __future__ import annotations
 
@@ -132,6 +132,12 @@ def cantor_add_reference(jac: Jacobian, D1, D2):
         v = (-v) % u_next
         u = u_next
     return MumfordDivisor(u, v)
+
+
+def exact_multiple_is_zero(jac: Jacobian, n: int, D) -> bool:
+    """n*D = 0 by building n*D and comparing it with the identity: the exact
+    check that torsion_decide's half-multiple comparison replaced."""
+    return jac.mul(n, D) == jac.identity
 
 
 def linear_order(jac: Jacobian, D) -> int:

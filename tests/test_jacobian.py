@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     brute_force_count,
     cantor_add_reference,
+    exact_multiple_is_zero,
     hasse_weil_order,
     linear_order,
     mumford_classes,
@@ -54,12 +55,10 @@ T15 = TowerSpec([("s", qp(-15, 0, 1))])
 
 
 def test_embed_examples():
-    from tpe.tower import lift_poly
-
     jac = Jacobian.over_q(C9)
     assert jac.embed(CurvePoint.infinity()) == jac.identity
     D = jac.embed(CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(3)))
-    assert D.u == lift_poly(qp(0, 1), QTRIV) and D.v == lift_poly(qp(3), QTRIV)
+    assert D.u == qp(0, 1).map_domain(QTRIV) and D.v == qp(3).map_domain(QTRIV)
     j11 = Jacobian.over_prime_field(C1, 11)
     W = j11.embed(ReducedPoint("affine", x=10, y=0))
     assert list(W.u.coeffs) == [1, 1]  # x - 10 = x + 1 mod 11
@@ -551,6 +550,86 @@ def test_torsion_decide_quadratic_example_is_refuted():
     j11 = Jacobian.over_prime_field(C34, 11)
     w11 = split_places(T15, 11)[0]
     assert divisor_order(j11, j11.embed(reduce_point(point, C34, w11))) == 16
+
+
+QUINTIC = make_curve(qp(3, 1, 0, 0, 0, 1))  # y^2 = x^5 + x + 3
+QUINTIC_POINT = CurvePoint.affine(QTRIV.rational(-1), QTRIV.rational(1))
+T20 = TowerSpec([("s", qp(-20, 0, 1))])
+T239 = TowerSpec([("r", qp(-239, 0, 1))])
+
+
+@pytest.mark.parametrize(
+    "point, curve, tower, p, index, n, torsion",
+    [
+        (QUINTIC_POINT, QUINTIC, QTRIV, 7, 0, 81, False),
+        (QUINTIC_POINT, QUINTIC, QTRIV, 11, 0, 144, False),
+        (QUINTIC_POINT, QUINTIC, QTRIV, 13, 0, 42, False),
+        (CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(3)), C9, QTRIV, 11, 0, 5, True),
+        (CurvePoint.affine(QTRIV.rational(-1), QTRIV.rational(0)), C1, QTRIV, 11, 0, 2, True),
+        *(
+            (CurvePoint.affine(T20.rational(0), T20.gen(0)), make_curve(qp(20, 0, 0, 0, 0, 1)),
+             T20, 11, index, 5, True)
+            for index in (0, 1)
+        ),
+        *(
+            (CurvePoint.affine(T15.rational(3), 4 * T15.gen(0)), C34, T15, 7, index, 6, False)
+            for index in (0, 1)
+        ),
+        (CurvePoint.affine(T239.rational(3), T239.gen(0)), make_curve(qp(-4, 0, 0, 0, 0, 1)),
+         T239, 7, 0, 5, False),
+    ],
+    ids=[
+        "quintic-p7", "quintic-p11", "quintic-p13", "order5-p11", "weierstrass-p11",
+        "sqrt20-place0", "sqrt20-place1", "sqrt15-place0", "sqrt15-place1", "sqrt239-p7",
+    ],
+)
+def test_torsion_decide_agrees_with_the_full_multiple(point, curve, tower, p, index, n, torsion):
+    """The half-multiple comparison gives the verdict of building n*D in
+    full, on both verdicts and both parities of n (n <= 144 keeps the oracle
+    cheap)."""
+    place = split_places(tower, p)[index]
+    jp = Jacobian.over_prime_field(curve, p)
+    assert divisor_order(jp, jp.embed(reduce_point(point, curve, place))) == n
+    jac = Jacobian.over_tower(curve, tower)
+    assert exact_multiple_is_zero(jac, n, jac.embed(point)) is torsion
+    expected = CertifiedTorsion(n) if torsion else NotTorsion()
+    assert torsion_decide(point, curve, tower, p, place) == expected
+
+
+def test_torsion_decide_refutes_the_quintic_class_at_p17():
+    place = split_places(QTRIV, 17)[0]
+    jp = Jacobian.over_prime_field(QUINTIC, 17)
+    assert divisor_order(jp, jp.embed(reduce_point(QUINTIC_POINT, QUINTIC, place))) == 205
+    assert torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 17, place) == NotTorsion()
+
+
+def _digits(D: MumfordDivisor) -> int:
+    """Largest decimal digit count of a numerator or denominator of D over Q."""
+    return max(
+        len(str(abs(x)))
+        for poly in (D.u, D.v)
+        for c in poly.coeffs
+        for q in c.coeffs.values()
+        for x in (q.numerator, q.denominator)
+    )
+
+
+def test_height_ceiling_bounds_the_half_multiple():
+    """The quintic class at p = 13 has reduced order 42.  The ceiling bounds
+    21*D, not 42*D: a ceiling between their digit counts, which building
+    42*D would breach, still decides, and one below 21*D's does not."""
+    jac = Jacobian.over_q(QUINTIC)
+    D = jac.embed(QUINTIC_POINT)
+    d21, d42 = _digits(jac.mul(21, D)), _digits(jac.mul(42, D))
+    between = 2 * d21
+    assert d21 < between < d42
+    with pytest.raises(HeightLimitExceeded):
+        Jacobian.over_q(QUINTIC, between).mul(42, D)
+    place = split_places(QTRIV, 13)[0]
+    verdict = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 13, place, height_ceiling=between)
+    assert verdict == NotTorsion()
+    below = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 13, place, height_ceiling=d21 // 2)
+    assert isinstance(below, Undecidable)
 
 
 def test_torsion_decide_undecidable_on_reducible_relation():
