@@ -343,18 +343,18 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
-        lead = other.leading
-        monic_div = lead == field.one
         rem = list(self.coeffs)
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(field), self
+        lead = other.leading
+        inv = None if lead == field.one else field.div(field.one, lead)
         quo = [field.zero] * (dq + 1)
         for i in range(dq, -1, -1):
             top = field.coerce(rem[i + other.degree])
             if top == field.zero:
                 continue
-            c = top if monic_div else field.div(top, lead)
+            c = top if inv is None else field.coerce(top * inv)
             quo[i] = c
             for j, b in enumerate(other.coeffs):
                 rem[i + j] = rem[i + j] - c * b
@@ -375,10 +375,11 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        lead = self.leading
-        if lead == self.field.one:
+        field = self.field
+        if self.leading == field.one:
             return self
-        return Poly(self.field, [self.field.div(c, lead) for c in self.coeffs])
+        inv = field.div(field.one, self.leading)
+        return Poly(field, [c * inv for c in self.coeffs])
 
     def derivative(self) -> "Poly":
         return Poly(

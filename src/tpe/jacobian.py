@@ -2,20 +2,26 @@
 
 Only odd-degree (imaginary) models are supported: a reduced class is a pair
 (u, v) with u monic of degree <= g, deg v < deg u and u | v^2 - f, and the
-identity is (1, 0).  The same code runs over F_p, over Q, and over a
-single-generator number field; number-field runs guard against coefficient
+identity is (1, 0).  The same code runs over F_p (ints), over Q (`QQ`,
+plain Fractions, also for the tower with no generator) and over a
+single-generator number field; exact runs guard against coefficient
 blow-up with a configurable digit ceiling.  A Jacobian is built from its
 curve and asks the curve module for facts about C: #C(F_p), and with it the
 refusal of bad reduction, is `count_points_mod_p`.
 
 Addition is one Cantor composition that skips the steps whose outcome is
-known (doublings, coprime u's); multiplication is double-and-add from the
-lowest set bit.  The order of a class over F_p is a baby-step giant-step
-search over the interval for #J(F_p) narrowed by #C(F_p): a table of +-j*D
-for j < s, giant steps of stride 2s - 1, and the order recovered from the
-multiple found with a product tree over its primes.  The exact torsion
-check decides n*D = 0 by comparing ceil(n/2)*D with -floor(n/2)*D, so its
-height ceiling bounds the half multiple, about a quarter of the bits of n*D.
+known and lifts v with small polynomials (a Garner CRT lift for coprime
+u's, a Hensel lift for doublings off the Weierstrass points);
+multiplication is double-and-add from the highest bit, so it only ever
+adds D itself to a large class.  The order of a class over F_p is a
+baby-step giant-step search over the interval for #J(F_p) narrowed by
+#C(F_p): a table of +-j*D for j < s, giant steps of stride 2s - 1, and the
+order recovered from the multiple found with a product tree over its
+primes.  The exact torsion
+check decides n*D = 0 by comparing ceil(n/2)*D with -floor(n/2)*D, built
+as B = floor(n/2)*D and B + D, so its height ceiling bounds the half
+multiples and the binary prefixes of floor(n/2) built on the way, about a
+quarter of the bits of n*D.
 
 Everything is pure and immutable, except that a Jacobian over F_p caches
 #C(F_p) on first use (two threads may both count it, with one result); an
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from tpe.algebra import NonIntegralError, Poly, PrimeField
+from tpe.algebra import QQ, NonIntegralError, Poly, PrimeField
 from tpe.curve import (
     AFFINE,
     CurvePoint,
@@ -86,9 +92,10 @@ class MumfordDivisor:
 
 class Jacobian:
     """The divisor class group of an odd-model curve over an exact field,
-    built by `over_prime_field`, `over_tower` or `over_q`.  The one test is
-    that f keeps its odd degree in the field: it refuses even models and a
-    p dividing lc(f)."""
+    built by `over_prime_field`, `over_tower` or `over_q`: F_p (ints), Q
+    (`QQ`, plain Fractions, also for a tower with no generator) or a
+    one-generator tower.  The one test is that f keeps its odd degree in the
+    field: it refuses even models and a p dividing lc(f)."""
 
     def __init__(self, curve: HyperellipticCurve, field, height_ceiling: int | None = None):
         f = curve.f.map_domain(field)
@@ -113,7 +120,7 @@ class Jacobian:
     ) -> "Jacobian":
         if tower.k > 1:
             raise ValueError("exact arithmetic supports at most one generator")
-        return cls(curve, tower, resolve_height_ceiling(height_ceiling))
+        return cls(curve, tower if tower.k else QQ, resolve_height_ceiling(height_ceiling))
 
     @classmethod
     def over_q(cls, curve: HyperellipticCurve, height_ceiling: int | None = None):
@@ -132,15 +139,22 @@ class Jacobian:
 
     def embed(self, point) -> MumfordDivisor:
         """The class of P minus the point at infinity: (x - a, b) for affine
-        P = (a, b), identity for the base point at infinity."""
+        P = (a, b), identity for the base point at infinity.  Over Q the
+        coordinates of a point of the tower Q (no generator) enter as their
+        rational values."""
         if not isinstance(point, (CurvePoint, ReducedPoint)):
             raise TypeError("embed expects a CurvePoint or ReducedPoint")
         if point.kind == INF:
             return self.identity
         if point.kind != AFFINE:
             raise ValueError("even-model infinity cannot be embedded")
-        u = Poly(self.field, (-point.x, self.field.one))
-        v = Poly.const(self.field, point.y)
+        x, y = point.x, point.y
+        if self.field == QQ and isinstance(x, TowerElement):
+            if x.tower.k:
+                raise ValueError("tower mismatch")
+            x, y = x.is_rational(), y.is_rational()
+        u = Poly(self.field, (-x, self.field.one))
+        v = Poly.const(self.field, y)
         D = MumfordDivisor(u, v)
         if not self.on_jacobian(D):
             raise ValueError("point does not satisfy y^2 = f(x) in this domain")
@@ -159,33 +173,43 @@ class Jacobian:
     def add(self, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
         """Cantor composition followed by reduction to deg u <= g.
 
-        Composition skips the steps whose result is known in advance.  A
-        doubling takes (d1, e1, e2) = (u1, 0, 1), which is what u1.xgcd(u1)
-        returns for a monic u1.  When u1 and u2 are coprime (d1 = 1, the
-        generic sum) the second xgcd and the s3 term (multiplied by 0) go:
-        v is the CRT lift (e1 u1 v2 + e2 u2 v1) mod u1 u2 of v1 mod u1 and
-        v2 mod u2, which Cantor's v also is.  A d of 1 is never divided by.
-        A reduced (u, v) is unique, so the sum is the one full Cantor gives.
+        Composition skips the steps whose result is known in advance and
+        lifts v with the smallest polynomials that give it.  A doubling takes
+        (d1, e1, e2) = (u1, 0, 1), which is what u1.xgcd(u1) returns for a
+        monic u1.  When u1 and u2 are coprime (d1 = 1, the generic sum) the
+        second xgcd and the s3 term (multiplied by 0) go: v is the CRT lift
+        of v1 mod u1 and v2 mod u2 in Garner form,
+        v1 + u1 ((v2 - v1) e1 mod u2).  A doubling with gcd(u, 2v) = 1 (no
+        Weierstrass point in the support) is a Hensel lift: with
+        c = (2v)^-1 mod u, v' = v + u (c (f - v^2)/u mod u) is v mod u with
+        u^2 | v'^2 - f.  Every other case runs the full composition, never
+        dividing by a d of 1.  A reduced (u, v) is unique, so the sum is the
+        one full Cantor gives.
         """
         u1, v1 = D1.u, D1.v
         u2, v2 = D2.u, D2.v
-        if D1 == D2:
+        doubling = D1 == D2
+        if doubling:
             d1, e1, e2 = u1, Poly(self.field), Poly.const(self.field, self.field.one)
         else:
             d1, e1, e2 = u1.xgcd(u2)
         if d1.degree == 0:
             u = u1 * u2
-            v = (e1 * u1 * v2 + e2 * u2 * v1) % u
+            v = v1 + u1 * ((v2 - v1) * e1 % u2)
         else:
             d, c1, c2 = d1.xgcd(v1 + v2)
-            s1, s2, s3 = c1 * e1, c1 * e2, c2
-            mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + self.f)
-            if d.degree == 0:
-                u = u1 * u2
+            if doubling and d.degree == 0:
+                u = u1 * u1
+                v = v1 + u1 * (c2 * (self.f - v1 * v1).exact_div(u1) % u1)
             else:
-                u = (u1 * u2).exact_div(d * d)
-                mixed = mixed.exact_div(d)
-            v = mixed % u
+                s1, s2, s3 = c1 * e1, c1 * e2, c2
+                mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + self.f)
+                if d.degree == 0:
+                    u = u1 * u2
+                else:
+                    u = (u1 * u2).exact_div(d * d)
+                    mixed = mixed.exact_div(d)
+                v = mixed % u
         while u.degree > self.genus:
             u_next = (self.f - v * v).exact_div(u).monic()
             v = (-v) % u_next
@@ -195,25 +219,20 @@ class Jacobian:
         return result
 
     def mul(self, n: int, D: MumfordDivisor) -> MumfordDivisor:
-        """n-fold sum by double-and-add from the lowest set bit of n; n must
-        be nonnegative.  An odd n height-checks D itself, as adding D to
-        the identity would."""
+        """n-fold sum by double-and-add from the highest bit of n, so every
+        addition adds D itself to the running multiple; n must be
+        nonnegative.  D is height-checked for n >= 1, as the chain's first
+        step (D added to the identity) would."""
         if n < 0:
             raise ValueError("scalar must be nonnegative")
         if n == 0:
             return self.identity
-        if n & 1:
-            self._check_height(D)
-        while not n & 1:
-            D = self.add(D, D)
-            n >>= 1
+        self._check_height(D)
         acc = D
-        n >>= 1
-        while n:
-            D = self.add(D, D)
-            if n & 1:
+        for bit in bin(n)[3:]:
+            acc = self.add(acc, acc)
+            if bit == "1":
                 acc = self.add(acc, D)
-            n >>= 1
         return acc
 
     def _check_height(self, D: MumfordDivisor):
@@ -363,7 +382,8 @@ def _product(factors: list[tuple[int, int]]) -> int:
 def reduce_divisor(
     D: MumfordDivisor, w: ResidueAssignment, target: Jacobian
 ) -> MumfordDivisor:
-    """Coefficient-wise reduction of a number-field divisor to F_p at w.
+    """Coefficient-wise reduction of a divisor over Q or a number field to
+    F_p at w (over Q the place is p itself).
 
     Valid for pointwise-reduced representatives: the support points must be
     w-integral with no collisions under reduction, else coefficients pick up
@@ -371,6 +391,8 @@ def reduce_divisor(
     field = target.field
 
     def red(poly: Poly) -> Poly:
+        if poly.field == QQ:
+            return poly.map_domain(field)  # PrimeField.coerce checks p-integrality
         return Poly(field, [reduce_element(c, w) for c in poly.coeffs])
 
     out = MumfordDivisor(red(D.u), red(D.v))
@@ -414,13 +436,14 @@ def torsion_decide(
     At an odd, completely split prime of good reduction, reduction is
     injective on the torsion subgroup, so a torsion class has the same order
     n as its reduction.  The procedure finds n over F_p (divisor_order), then
-    checks n*D = 0 exactly over the number field: success certifies torsion
-    of exact order n, failure refutes torsion outright.  n*D = 0 is decided
-    by comparing ceil(n/2)*D with -floor(n/2)*D, the latter one addition of
-    -D away (none for even n): their sum is n*D and a reduced (u, v) is
-    unique, so the comparison is exact, and the height-n^2 multiple n*D is
-    never built.  Zero divisors, or a coefficient of ceil(n/2)*D beyond the
-    height ceiling, yield Undecidable.
+    checks n*D = 0 exactly over Q or the number field: success certifies
+    torsion of exact order n, failure refutes torsion outright.  n*D = 0 is
+    decided by comparing ceil(n/2)*D with -floor(n/2)*D: B = floor(n/2)*D
+    comes from `mul`, and A = B + D for odd n (A = B for even n).  Their sum
+    is n*D and a reduced (u, v) is unique, so the comparison is exact, and
+    the height-n^2 multiple n*D is never built.  Zero divisors, or a
+    coefficient beyond the height ceiling in A or in a multiple built on the
+    way to B, yield Undecidable.
 
     `place` must be one of `split_places(tower, p)`, which also refuses a p
     that is not an odd prime (PrimeField), a ramified p and a relation that is
@@ -448,8 +471,8 @@ def torsion_decide(
     jac_f = Jacobian.over_tower(curve, tower, height_ceiling)
     try:
         D = jac_f.embed(point)
-        A = jac_f.mul((n + 1) // 2, D)
-        B = jac_f.add(A, jac_f.neg(D)) if n & 1 else A
+        B = jac_f.mul(n // 2, D)
+        A = jac_f.add(B, D) if n & 1 else B
         killed = A == jac_f.neg(B)
     except (ZeroDivisorError, HeightLimitExceeded) as exc:
         return Undecidable(str(exc))

@@ -1,9 +1,10 @@
 """Shared helpers: independent oracles kept deliberately separate from the
 implementation paths they check (Sylvester determinants for resultants,
 brute-force point counts, enumeration square roots, Cantor's full
-composition, linear order scans, baby-step giant-step over the generic
-Hasse-Weil interval and over the narrowed one, enumerated Jacobian orders,
-and the exact n*D = 0 built in full)."""
+composition, double-and-add from the lowest set bit, linear order scans,
+baby-step giant-step over the generic Hasse-Weil interval and over the
+narrowed one, enumerated Jacobian orders, and the exact n*D = 0 built in
+full)."""
 
 from __future__ import annotations
 
@@ -132,6 +133,25 @@ def cantor_add_reference(jac: Jacobian, D1, D2):
         v = (-v) % u_next
         u = u_next
     return MumfordDivisor(u, v)
+
+
+def mul_from_lowest_bit(jac: Jacobian, n: int, D):
+    """n*D by double-and-add from the lowest set bit: the chain Jacobian.mul
+    ran before it went left to right, which adds a doubled D to a running
+    sum of large classes.  No height check of its own."""
+    if n == 0:
+        return jac.identity
+    while not n & 1:
+        D = jac.add(D, D)
+        n >>= 1
+    acc = D
+    n >>= 1
+    while n:
+        D = jac.add(D, D)
+        if n & 1:
+            acc = jac.add(acc, D)
+        n >>= 1
+    return acc
 
 
 def exact_multiple_is_zero(jac: Jacobian, n: int, D) -> bool:

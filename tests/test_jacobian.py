@@ -17,12 +17,21 @@ from conftest import (
     exact_multiple_is_zero,
     hasse_weil_order,
     linear_order,
+    mul_from_lowest_bit,
     mumford_classes,
     narrowed_order,
     qp,
     random_reduced_class,
 )
-from tpe.algebra import NonIntegralError, Poly, PrimeField, is_prime, is_squarefree, small_divisors
+from tpe.algebra import (
+    QQ,
+    NonIntegralError,
+    Poly,
+    PrimeField,
+    is_prime,
+    is_squarefree,
+    small_divisors,
+)
 from tpe.curve import (
     CurvePoint,
     ReducedPoint,
@@ -58,7 +67,7 @@ def test_embed_examples():
     jac = Jacobian.over_q(C9)
     assert jac.embed(CurvePoint.infinity()) == jac.identity
     D = jac.embed(CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(3)))
-    assert D.u == qp(0, 1).map_domain(QTRIV) and D.v == qp(3).map_domain(QTRIV)
+    assert D.u == qp(0, 1) and D.v == qp(3)  # over QQ: Fraction coefficients
     j11 = Jacobian.over_prime_field(C1, 11)
     W = j11.embed(ReducedPoint("affine", x=10, y=0))
     assert list(W.u.coeffs) == [1, 1]  # x - 10 = x + 1 mod 11
@@ -197,7 +206,8 @@ def test_divisor_order_matches_linear_scan(genus):
     rng = random.Random(71 + genus)
     f = ORACLE_CURVES[genus]
     lo_zero, above = set(), set()  # primes with lo = 0; with an order above s
-    narrowed_above = set()  # primes with an order above the narrowed s
+    narrowed_above = set()  # primes with an order above isqrt(nhi - nlo) + 1
+    searched_above = set()  # primes with an order above divisor_order's s
     for p in ORACLE_PRIMES:
         jac = _oracle_jacobian(genus, p)
         roots = [a for a in range(p) if sum(c * a**i for i, c in enumerate(f)) % p == 0]
@@ -224,8 +234,11 @@ def test_divisor_order_matches_linear_scan(genus):
                 above.add(p)
             if n > isqrt(nhi - nlo) + 1:
                 narrowed_above.add(p)
+            if n > isqrt((nhi - nlo + 1) // 2) + 1:
+                searched_above.add(p)
     assert lo_zero == {3, 5} and above - lo_zero
     assert len(narrowed_above) >= 3
+    assert len(searched_above) >= 3
     if genus < 3:
         assert lo_zero <= above
 
@@ -344,37 +357,66 @@ def _enumerated(jac: Jacobian, f, genus: int) -> list[MumfordDivisor]:
 )
 def test_add_matches_full_cantor_on_every_pair(genus, p):
     """Jacobian.add equals Cantor's full composition bit for bit on every
-    ordered pair of J(F_p): D + D, D + 0, 0 + D, D + (-D) and coprime u's
-    all occur, and from genus 2 on u's that share a root but not D + (-D)."""
+    ordered pair of J(F_p): D + 0, 0 + D, D + (-D), coprime u's (the Garner
+    lift) and Hensel doublings all occur, from genus 2 on u's that share a
+    root but not D + (-D), and wherever J(F_p) has a class (u, 0) the
+    doubling with gcd(u, 2v) != 1 that runs the full composition."""
     curves = [ORACLE_CURVES[genus]] + ([LO_ZERO_CURVES[genus]] if p == 3 and genus > 1 else [])
-    kinds = set()
+    kinds, expected = set(), {"hensel double", "inverse", "coprime"}
+    if genus > 1:
+        expected.add("common root")
     for f in curves:
         jac = Jacobian.over_prime_field(make_curve(qp(*f), allow_low_genus=True), p)
         pool = _enumerated(jac, f, genus)
+        if any(D.u.degree and D.v.is_zero for D in pool):
+            expected.add("weierstrass double")
         for D1 in pool:
             for D2 in pool:
                 assert jac.add(D1, D2) == cantor_add_reference(jac, D1, D2), (D1, D2)
-                if D1 == D2:
-                    kinds.add("double")
-                elif D2 == jac.neg(D1) and D1.u.degree:
-                    kinds.add("inverse")
-                elif D1.u.gcd(D2.u).degree > 0:
-                    kinds.add("common root")
-                elif D1.u.degree and D2.u.degree:
-                    kinds.add("coprime")
-    assert kinds == {"double", "inverse", "coprime"} | ({"common root"} if genus > 1 else set())
+                kinds.add(_sum_kind(jac, D1, D2))
+    assert kinds - {None} == expected
+
+
+def _sum_kind(jac: Jacobian, D1: MumfordDivisor, D2: MumfordDivisor):
+    """Which composition branch of Jacobian.add D1 + D2 takes, when both u's
+    have a root: None for a sum with the identity."""
+    if not (D1.u.degree and D2.u.degree):
+        return None
+    if D1 == D2:
+        return "hensel double" if D1.u.gcd(D1.v + D1.v).degree == 0 else "weierstrass double"
+    if D2 == jac.neg(D1):
+        return "inverse"
+    return "common root" if D1.u.gcd(D2.u).degree > 0 else "coprime"
 
 
 @pytest.mark.parametrize("tower", [QTRIV, TowerSpec([("s", qp(-151, 0, 1))])], ids=["Q", "Q(sqrt151)"])
 def test_add_matches_full_cantor_over_number_fields(tower):
     """Over Q and Q(sqrt c) the sums of points and of pairwise sums, the
-    doubles and D + (-D) equal Cantor's full composition."""
+    doubles and D + (-D) equal Cantor's full composition; Hensel doublings,
+    coprime (Garner) sums and u's that share a root all occur."""
     jac, classes = _points_and_sums_over(tower)
     rng = random.Random(97)
     pairs = [(D, D) for D in classes] + [(D, jac.neg(D)) for D in classes]
     pairs += [tuple(rng.sample(classes, 2)) for _ in range(150)]
+    kinds = set()
     for D1, D2 in pairs:
         assert jac.add(D1, D2) == cantor_add_reference(jac, D1, D2), (D1, D2)
+        kinds.add(_sum_kind(jac, D1, D2))
+    assert kinds - {None} == {"hensel double", "inverse", "coprime", "common root"}
+
+
+def test_add_doubles_a_weierstrass_class_over_q_like_full_cantor():
+    """Over Q, doublings of classes with a Weierstrass point in their
+    support (gcd(u, 2v) != 1) run the full composition and equal it: the
+    2-torsion (-1, 0) on y^2 = x^5 + 1, and its sums with (0, +-1), whose
+    doubles have u = x^2 + x."""
+    jac = Jacobian.over_q(C1)
+    W = jac.embed(CurvePoint.affine(QTRIV.rational(-1), QTRIV.rational(0)))
+    points = [jac.embed(CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(s))) for s in (1, -1)]
+    for D in [W] + [jac.add(W, P) for P in points]:
+        assert _sum_kind(jac, D, D) == "weierstrass double"
+        assert jac.add(D, D) == cantor_add_reference(jac, D, D)
+    assert jac.add(W, W) == jac.identity
 
 
 def test_mul_is_repeated_addition():
@@ -391,6 +433,26 @@ def test_mul_is_repeated_addition():
         for n in range(1, 41):
             assert jac.mul(n, D) == acc, n
             acc = jac.add(acc, D)
+
+
+@pytest.mark.parametrize("domain", ["F_101 genus 2", "F_19 genus 3", "Q", "Q(sqrt151)"])
+def test_mul_matches_the_chain_from_the_lowest_bit(domain):
+    """The left-to-right chain gives the reduced pair of the right-to-left
+    one for n <= 64, and over F_p also for n in 100..250 (orders there are
+    larger, so these multiples are not the identity)."""
+    if domain.startswith("F_"):
+        jac = _oracle_jacobian(2, 101) if domain == "F_101 genus 2" else _oracle_jacobian(3, 19)
+        classes = [random_reduced_class(jac, random.Random(107))]
+        assert divisor_order(jac, classes[0]) > 250
+        scalars = [*range(65), 100, 127, 128, 205, 250]
+    else:
+        tower = QTRIV if domain == "Q" else TowerSpec([("s", qp(-151, 0, 1))])
+        jac, exact = _points_and_sums_over(tower)
+        classes = [exact[0], exact[-1]] if domain == "Q" else [exact[-1]]
+        scalars = range(65)
+    for D in classes:
+        for n in scalars:
+            assert jac.mul(n, D) == mul_from_lowest_bit(jac, n, D), n
 
 
 def test_mul_height_checks_like_addition_from_the_identity():
@@ -603,13 +665,34 @@ def test_torsion_decide_refutes_the_quintic_class_at_p17():
     assert torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 17, place) == NotTorsion()
 
 
+def test_reduce_divisor_over_q_needs_p_integral_coefficients():
+    """On a Jacobian over QQ, reduce_divisor reduces Fraction coefficients
+    with PrimeField.coerce: 3*D and 4*D of the quintic class (-1, 1), whose
+    denominators divide 8 and 2 * 67^3, reduce to the F_p multiples at
+    p = 11 and 13, and at p = 67 the reduction of 4*D is refused."""
+    jq = Jacobian.over_q(QUINTIC)
+    assert jq.field == QQ
+    D = jq.embed(QUINTIC_POINT)
+    multiples = {n: jq.mul(n, D) for n in (3, 4)}
+    assert all(isinstance(c, Fraction) for c in multiples[4].u.coeffs + multiples[4].v.coeffs)
+    for p in (11, 13):
+        jp = Jacobian.over_prime_field(QUINTIC, p)
+        w = split_places(QTRIV, p)[0]
+        Dp = jp.embed(reduce_point(QUINTIC_POINT, QUINTIC, w))
+        for n, E in multiples.items():
+            assert reduce_divisor(E, w, jp) == jp.mul(n, Dp)
+    assert any(c.denominator % 67 == 0 for c in multiples[4].u.coeffs + multiples[4].v.coeffs)
+    j67 = Jacobian.over_prime_field(QUINTIC, 67)
+    with pytest.raises(NonIntegralError, match="divisible by 67"):
+        reduce_divisor(multiples[4], split_places(QTRIV, 67)[0], j67)
+
+
 def _digits(D: MumfordDivisor) -> int:
     """Largest decimal digit count of a numerator or denominator of D over Q."""
     return max(
         len(str(abs(x)))
         for poly in (D.u, D.v)
-        for c in poly.coeffs
-        for q in c.coeffs.values()
+        for q in poly.coeffs
         for x in (q.numerator, q.denominator)
     )
 
