@@ -18,10 +18,11 @@ baby-step giant-step search over the interval for #J(F_p) narrowed by
 #C(F_p): a table of +-j*D for j < s, giant steps of stride 2s - 1, and the
 order recovered from the multiple found with a product tree over its
 primes.  The exact torsion
-check decides n*D = 0 by comparing ceil(n/2)*D with -floor(n/2)*D, built
-as B = floor(n/2)*D and B + D, so its height ceiling bounds the half
-multiples and the binary prefixes of floor(n/2) built on the way, about a
-quarter of the bits of n*D.
+check decides n*D = 0 from B = floor(n/2)*D alone: B = -B for even n, and
+for odd n B + D = -B, tested as 2B + D being the divisor of y - V for the
+V of the composition of B and D.  So its height ceiling bounds B and the
+binary prefixes of floor(n/2) built on the way, about a quarter of the
+bits of n*D.
 
 Everything is pure and immutable, except that a Jacobian over F_p caches
 #C(F_p) on first use (two threads may both count it, with one result); an
@@ -423,6 +424,35 @@ class Undecidable:
 TorsionVerdict = CertifiedTorsion | NotTorsion | Undecidable
 
 
+def _adds_to_neg(jac: Jacobian, B: MumfordDivisor, D: MumfordDivisor) -> bool:
+    """Whether B + D = -B, for the class D of a point, without building B + D.
+
+    With D = (x - a, b), B = (u, v), deg u = g and u(a) != 0, the
+    composition of B and D is (u (x - a), V) with V = v + lam u and
+    lam = (b - v(a)) / u(a).  It reduces in one step to
+    ((f - V^2) / (lc(f) u (x - a)), -V), which is -B = (u, -v) exactly when
+    f - V^2 = lc(f) u^2 (x - a), that is, when 2B + D is the divisor of
+    y - V (Cantor 1987).  The x^2g coefficients, f_2g - lam^2 against
+    lc(f) (2 u_(g-1) - a), are compared first, so a "no" for a large B
+    costs one square.  If deg u < g, B + D is already reduced and of
+    another degree than -B.  For the identity D, or u(a) = 0, B and D are
+    added.  Coefficients must be exact (Q or a number field)."""
+    if D != jac.identity:
+        u, v, g = B.u, B.v, jac.genus
+        if u.degree < g:
+            return False
+        a, b = -D.u.coeffs[0], D.v.coeff(0)
+        ua = u(a)
+        if ua != jac.field.zero:
+            f = jac.f
+            lam = jac.field.div(b - v(a), ua)
+            if f.coeff(2 * g) - lam * lam != f.leading * (2 * u.coeff(g - 1) - a):
+                return False
+            V = v + u * lam
+            return f - V * V == u * u * D.u * f.leading
+    return jac.add(B, D) == jac.neg(B)
+
+
 def torsion_decide(
     point: CurvePoint,
     curve: HyperellipticCurve,
@@ -438,12 +468,12 @@ def torsion_decide(
     n as its reduction.  The procedure finds n over F_p (divisor_order), then
     checks n*D = 0 exactly over Q or the number field: success certifies
     torsion of exact order n, failure refutes torsion outright.  n*D = 0 is
-    decided by comparing ceil(n/2)*D with -floor(n/2)*D: B = floor(n/2)*D
-    comes from `mul`, and A = B + D for odd n (A = B for even n).  Their sum
-    is n*D and a reduced (u, v) is unique, so the comparison is exact, and
-    the height-n^2 multiple n*D is never built.  Zero divisors, or a
-    coefficient beyond the height ceiling in A or in a multiple built on the
-    way to B, yield Undecidable.
+    decided from B = floor(n/2)*D, which comes from `mul`: B = -B for even
+    n, and B + D = -B for odd n (`_adds_to_neg`, which does not build
+    B + D).  A reduced (u, v) is unique, so the test is exact, and neither
+    the height-n^2 multiple n*D nor ceil(n/2)*D is built.  Zero divisors, or
+    a coefficient beyond the height ceiling in B or in a multiple built on
+    the way to it, yield Undecidable.
 
     `place` must be one of `split_places(tower, p)`, which also refuses a p
     that is not an odd prime (PrimeField), a ramified p and a relation that is
@@ -472,8 +502,7 @@ def torsion_decide(
     try:
         D = jac_f.embed(point)
         B = jac_f.mul(n // 2, D)
-        A = jac_f.add(B, D) if n & 1 else B
-        killed = A == jac_f.neg(B)
+        killed = _adds_to_neg(jac_f, B, D) if n & 1 else B == jac_f.neg(B)
     except (ZeroDivisorError, HeightLimitExceeded) as exc:
         return Undecidable(str(exc))
     return CertifiedTorsion(n) if killed else NotTorsion()

@@ -3,8 +3,8 @@ implementation paths they check (Sylvester determinants for resultants,
 brute-force point counts, enumeration square roots, Cantor's full
 composition, double-and-add from the lowest set bit, linear order scans,
 baby-step giant-step over the generic Hasse-Weil interval and over the
-narrowed one, enumerated Jacobian orders, and the exact n*D = 0 built in
-full)."""
+narrowed one, enumerated Jacobian orders, the exact n*D = 0 built in full,
+and B + D = -B by building B + D)."""
 
 from __future__ import annotations
 
@@ -158,6 +158,13 @@ def exact_multiple_is_zero(jac: Jacobian, n: int, D) -> bool:
     """n*D = 0 by building n*D and comparing it with the identity: the exact
     check that torsion_decide's half-multiple comparison replaced."""
     return jac.mul(n, D) == jac.identity
+
+
+def adds_to_neg_by_addition(jac: Jacobian, B, D) -> bool:
+    """B + D = -B by building B + D and comparing it with -B: the check of
+    an odd n*D = 0 that the divisor-of-(y - V) test in torsion_decide
+    replaced."""
+    return jac.add(B, D) == jac.neg(B)
 
 
 def linear_order(jac: Jacobian, D) -> int:

@@ -142,6 +142,18 @@ def test_torsion_command(capsys, tmp_path):
     assert code == 2
 
 
+def test_torsion_of_the_point_at_infinity(capsys, tmp_path):
+    """The odd-model base point is the identity class: order 1."""
+    curve = write(tmp_path, "curve.json", {"f": [9, 0, 0, 0, 0, 1]})
+    tower = write(tmp_path, "tower.json", {"generators": []})
+    code, out, _ = run(
+        capsys,
+        ["torsion", "--curve", curve, "--point", '{"type":"infinity"}',
+         "--tower", tower, "--p", "11", "--json"],
+    )
+    assert code == 0 and out == '{"order":1,"verdict":"torsion"}\n'
+
+
 def test_height_ceiling_must_be_positive(capsys, tmp_path, monkeypatch):
     curve = write(tmp_path, "curve.json", {"f": [-4, 0, 0, 0, 0, 1]})
     tower = write(

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    adds_to_neg_by_addition,
     brute_force_count,
     cantor_add_reference,
     exact_multiple_is_zero,
@@ -28,6 +29,7 @@ from tpe.algebra import (
     NonIntegralError,
     Poly,
     PrimeField,
+    exact_sqrt,
     is_prime,
     is_squarefree,
     small_divisors,
@@ -47,6 +49,7 @@ from tpe.jacobian import (
     MumfordDivisor,
     NotTorsion,
     Undecidable,
+    _adds_to_neg,
     class_group_bound,
     class_group_interval,
     class_group_interval_from_count,
@@ -663,6 +666,148 @@ def test_torsion_decide_refutes_the_quintic_class_at_p17():
     jp = Jacobian.over_prime_field(QUINTIC, 17)
     assert divisor_order(jp, jp.embed(reduce_point(QUINTIC_POINT, QUINTIC, place))) == 205
     assert torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 17, place) == NotTorsion()
+
+
+def test_torsion_decide_certifies_the_point_at_infinity():
+    """The odd-model base point is the identity class, of order 1: n = 1 is
+    odd and D is the identity, so the odd check adds B and D."""
+    place = split_places(QTRIV, 11)[0]
+    assert torsion_decide(CurvePoint.infinity(), C9, QTRIV, 11, place) == CertifiedTorsion(1)
+    c20 = make_curve(qp(20, 0, 0, 0, 0, 1))
+    for place in split_places(T20, 11):
+        assert torsion_decide(CurvePoint.infinity(), c20, T20, 11, place) == CertifiedTorsion(1)
+
+
+def _random_poly(rng, degree, lead):
+    return [rng.randint(-4, 4) for _ in range(degree)] + [lead]
+
+
+def _curve_through_a_point(rng, genus, lc, quadratic):
+    """A squarefree f of degree 2g + 1 with lc(f) = lc and a point P on it:
+    over Q, f's constant is set so that f(a) = b^2; over Q(sqrt c), P is
+    (a, s) with s^2 = c = f(a), not a square."""
+    while True:
+        a = rng.randint(-3, 3)
+        cs = _random_poly(rng, 2 * genus + 1, lc)
+        fa = sum(c * a**i for i, c in enumerate(cs))
+        if quadratic:
+            if fa == 0 or exact_sqrt(fa) is not None:
+                continue
+            tower = TowerSpec([("s", qp(-fa, 0, 1))])
+            y = tower.gen(0)
+        else:
+            b = rng.randint(-4, 4)
+            cs[0] += b * b - fa
+            tower, y = QTRIV, QTRIV.rational(b)
+        if is_squarefree(qp(*cs)):
+            return make_curve(qp(*cs)), tower, CurvePoint.affine(tower.rational(a), y)
+
+
+def _principal_pair(rng, genus, lc, quadratic, v_at_a):
+    """(jac, B, D) with 2B + D the divisor of y - V, so B + D = -B.
+
+    With u monic of degree g, u(a) != 0, lam != 0, and v = (x - a) r + v_at_a
+    of degree < g, V = c^(1/2) (v + lam u) and f = V^2 + lc u^2 (x - a) over
+    Q (c = 1 over Q).  B = (u, V mod u), D = (a, V(a)).  If v(a) = 0, -D
+    gives -lam in place of lam: the x^2g coefficients agree, and only the
+    full identity refutes B - D = -B."""
+    while True:
+        a = rng.randint(-3, 3)
+        u = qp(*_random_poly(rng, genus, 1))
+        lam = rng.choice([-3, -2, -1, 1, 2, 3])
+        if u(a) == 0:
+            continue
+        v = qp(-a, 1) * qp(*_random_poly(rng, genus - 2, rng.randint(-4, 4))) + v_at_a
+        c = rng.choice([2, 3, -5, 7]) if quadratic else 1
+        w = v + u * lam
+        f = w * w * c + u * u * qp(-a, 1) * lc
+        if not is_squarefree(f):
+            continue
+        tower = TowerSpec([("s", qp(-c, 0, 1))]) if quadratic else QTRIV
+        jac = Jacobian.over_tower(make_curve(f), tower)
+        root = tower.gen(0) if quadratic else tower.one
+        vB = v.map_domain(tower) * root if quadratic else v
+        B = MumfordDivisor(u.map_domain(jac.field), vB)
+        D = jac.embed(CurvePoint.affine(tower.rational(a), root * w(a)))
+        assert jac.on_jacobian(B)
+        return jac, B, D
+
+
+def _first_multiples(jac, D):
+    """(jac, m*D, D) for m = 0, ..., 11."""
+    out, B = [], jac.identity
+    for _ in range(12):
+        out.append((jac, B, D))
+        B = jac.add(B, D)
+    return out
+
+
+def test_odd_check_matches_building_b_plus_d(monkeypatch):
+    """_adds_to_neg(B, D) agrees with building B + D and comparing it with
+    -B, over Q and Q(sqrt c), in genus 2 and 3, with lc(f) in {1, 2, -3}:
+    on B = m*D for m <= 11 on random curves, on the order-(2g + 1) family
+    f = (c + dx)^2 + lc x^(2g+1) with P = (0, c) (y - c - dx vanishes to
+    order 2g + 1 at P, so "yes" answers occur), and on principal pairs.
+    Each branch runs: deg u < g, the fallback for u(a) = 0 (and only it
+    adds), and the x^2g test and full identity with both answers."""
+    rng = random.Random(14)
+    cases = []
+    for genus, quadratic, lc in itertools.product((2, 3), (False, True), (1, 2, -3)):
+        curve, tower, point = _curve_through_a_point(rng, genus, lc, quadratic)
+        jac = Jacobian.over_tower(curve, tower)
+        cases += _first_multiples(jac, jac.embed(point))
+        c, d = rng.choice([-3, -1, 2, 5]), rng.randint(-2, 2)
+        if quadratic:  # (0, s) on y^2 = c + lc x^(2g+1), s^2 = c
+            tower = TowerSpec([("s", qp(-c, 0, 1))])
+            f, y = qp(c), tower.gen(0)
+        else:
+            tower = QTRIV
+            f, y = qp(c, d) ** 2, tower.rational(c)
+        f = f + qp(*[0] * (2 * genus + 1), lc)
+        jac = Jacobian.over_tower(make_curve(f), tower)
+        cases += _first_multiples(jac, jac.embed(CurvePoint.affine(tower.rational(0), y)))
+        for v_at_a in (0, rng.choice([-2, -1, 1, 2]), rng.choice([-2, -1, 1, 2])):
+            jac, B, D = _principal_pair(rng, genus, lc, quadratic, v_at_a)
+            cases += [(jac, B, D), (jac, B, jac.neg(D))]
+
+    seen = set()
+    for jac, B, D in cases:
+        adds = []
+        monkeypatch.setattr(jac, "add", lambda B, D, add=jac.add: adds.append(1) or add(B, D))
+        got = _adds_to_neg(jac, B, D)
+        monkeypatch.undo()
+        expected = adds_to_neg_by_addition(jac, B, D)
+        assert got is expected
+        if B.u.degree < jac.genus:
+            branch = "deg u < g"
+        elif B.u(-D.u.coeffs[0]) == jac.field.zero:
+            branch = "u(a) = 0"
+        else:
+            branch = "identity"
+        assert bool(adds) is (branch == "u(a) = 0")
+        seen.add((branch, expected))
+    assert seen == {
+        ("deg u < g", False), ("u(a) = 0", True), ("u(a) = 0", False),
+        ("identity", True), ("identity", False),
+    }
+
+
+def test_odd_check_has_no_ceiling_on_the_class_it_never_builds():
+    """The quintic class at p = 7 has odd reduced order 81.  The check builds
+    40*D (2,519 bits) and never 41*D (2,652 bits), so a ceiling of 770
+    digits (2,582 bits) that 41*D breaches still refutes; 700 digits
+    (2,349 bits) stops 40*D and cannot decide."""
+    D = Jacobian.over_q(QUINTIC).embed(QUINTIC_POINT)
+    Jacobian.over_q(QUINTIC, 770).mul(40, D)
+    with pytest.raises(HeightLimitExceeded):
+        Jacobian.over_q(QUINTIC, 770).mul(41, D)
+    with pytest.raises(HeightLimitExceeded):
+        Jacobian.over_q(QUINTIC, 700).mul(40, D)
+    place = split_places(QTRIV, 7)[0]
+    verdict = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 7, place, height_ceiling=770)
+    assert verdict == NotTorsion()
+    below = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 7, place, height_ceiling=700)
+    assert isinstance(below, Undecidable)
 
 
 def test_reduce_divisor_over_q_needs_p_integral_coefficients():
