@@ -135,6 +135,19 @@ def small_divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def power(x, e: int, one):
+    """x^e for e >= 0 by square-and-multiply from the highest bit of e, so
+    x ** 2 is one multiplication; `one` is the result for e = 0."""
+    if e == 0:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
+    return result
+
+
 # ---------------------------------------------------------------------------
 # coefficient domains
 
@@ -310,6 +323,18 @@ class Poly:
             return Poly(self.field)
         zero = self.field.zero
         out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        if other is self:
+            # a square: a_i ** 2 once and 2 a_i a_j for i < j; a reduced
+            # Fraction raised with ** skips the cross-gcds of a_i * a_i
+            cs = self.coeffs
+            for i, a in enumerate(cs):
+                if a == zero:
+                    continue
+                out[2 * i] += a**2
+                twice = 2 * a
+                for j in range(i + 1, len(cs)):
+                    out[i + j] += twice * cs[j]
+            return Poly(self.field, out)
         for i, a in enumerate(self.coeffs):
             if a == zero:
                 continue
@@ -322,14 +347,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(self.field, self.field.one)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(self, e, Poly.const(self.field, self.field.one))
 
     def _as_poly(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -395,16 +413,21 @@ class Poly:
         return a.monic()
 
     def xgcd(self, other):
-        """(g, s, t) with g = s*self + t*other and g monic (or zero)."""
+        """(g, s, t) with g = s*self + t*other and g monic (or zero).
+
+        A nonzero constant remainder ends the chain: the gcd is 1, and its
+        cofactors are the current ones over that constant."""
         field = self.field
         a, b = self, self._as_poly(other)
         s0, s1 = Poly.const(field, field.one), Poly(field)
         t0, t1 = Poly(field), Poly.const(field, field.one)
-        while not b.is_zero:
+        while b.degree > 0:
             q, r = divmod(a, b)
             a, b = b, r
             s0, s1 = s1, s0 - q * s1
             t0, t1 = t1, t0 - q * t1
+        if not b.is_zero:
+            a, s0, t0 = b, s1, t1
         if a.is_zero:
             return a, s0, t0
         inv = field.div(field.one, a.leading)

@@ -1,8 +1,9 @@
 """Command-line surface: verify, family, count, torsion, sweep.
 
 Exit codes: 0 verified/decided, 1 verification failed, 2 inapplicable or
-undecidable, 3 malformed input.  --json emits canonical JSON (sorted keys,
-no insignificant whitespace); identical inputs produce byte-identical output.
+undecidable, 3 malformed input, usage errors included.  --json emits
+canonical JSON (sorted keys, no insignificant whitespace); identical inputs
+produce byte-identical output.
 The parser is built once per process; each subcommand names its handler with
 set_defaults(func=...), and `main` turns the input errors every handler may
 raise (OSError, ValueError) into exit 3.
@@ -38,6 +39,15 @@ EXIT_INAPPLICABLE = 2
 EXIT_INPUT = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is malformed input: exit 3, not argparse's 2, in every
+    subcommand (add_subparsers builds them from this class)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -57,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         "deterministic and ignores it",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tpe",
         description="verify torsion packet envelopes for hyperelliptic curves",
     )

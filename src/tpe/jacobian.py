@@ -11,13 +11,16 @@ refusal of bad reduction, is `count_points_mod_p`.
 
 Addition is one Cantor composition that skips the steps whose outcome is
 known and lifts v with small polynomials (a Garner CRT lift for coprime
-u's, a Hensel lift for doublings off the Weierstrass points);
-multiplication is double-and-add from the highest bit, so it only ever
-adds D itself to a large class.  The order of a class over F_p is a
-baby-step giant-step search over the interval for #J(F_p) narrowed by
-#C(F_p): a table of +-j*D for j < s, giant steps of stride 2s - 1, and the
-order recovered from the multiple found with a product tree over its
-primes.  The exact torsion
+u's, a Hensel lift for doublings off the Weierstrass points).  A Hensel
+doubling takes its first reduction step from the lift's pieces,
+(f - v^2)/u^2 = (w - 2 v1 t)/u1 - t^2 for v = v1 + u1 t and
+w = (f - v1^2)/u1, so f - v^2 is never formed at full height; the reduced
+pair is unchanged, since a reduced (u, v) is unique.  Multiplication is
+double-and-add from the highest bit, so it only ever adds D itself to a
+large class.  The order of a class over F_p is a baby-step giant-step
+search over the interval for #J(F_p) narrowed by #C(F_p): a table of +-j*D
+for j < s, giant steps of stride 2s - 1, and the order recovered from the
+multiple found with a product tree over its primes.  The exact torsion
 check decides n*D = 0 from B = floor(n/2)*D alone: B = -B for even n, and
 for odd n B + D = -B, tested as 2B + D being the divisor of y - V for the
 V of the composition of B and D.  So its height ceiling bounds B and the
@@ -68,7 +71,13 @@ def resolve_height_ceiling(value: int | None = None) -> int:
     when it is None.  One check serves the flag, the variable and the
     library: a ceiling below 1 is refused with ValueError."""
     if value is None:
-        value = int(os.environ.get("TPE_HEIGHT_CEILING", DEFAULT_HEIGHT_CEILING))
+        raw = os.environ.get("TPE_HEIGHT_CEILING", str(DEFAULT_HEIGHT_CEILING))
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"TPE_HEIGHT_CEILING must be a positive digit count, not {raw!r}"
+            ) from None
     if value < 1:
         raise ValueError(f"height ceiling must be a positive digit count, not {value}")
     return value
@@ -182,10 +191,14 @@ class Jacobian:
         of v1 mod u1 and v2 mod u2 in Garner form,
         v1 + u1 ((v2 - v1) e1 mod u2).  A doubling with gcd(u, 2v) = 1 (no
         Weierstrass point in the support) is a Hensel lift: with
-        c = (2v)^-1 mod u, v' = v + u (c (f - v^2)/u mod u) is v mod u with
-        u^2 | v'^2 - f.  Every other case runs the full composition, never
-        dividing by a d of 1.  A reduced (u, v) is unique, so the sum is the
-        one full Cantor gives.
+        c = (2v)^-1 mod u, w = (f - v^2)/u and t = c w mod u,
+        v' = v + u t is v mod u with u^2 | v'^2 - f.  When u^2 needs
+        reduction, its first step comes from these pieces: u'' =
+        monic((f - v'^2)/u^2) is monic((w - 2 v t)/u - t^2), so f - v'^2 is
+        never formed, and -v' mod u'' follows; any further step (genus >= 3)
+        runs the usual reduction loop.  Every other case runs the full
+        composition, never dividing by a d of 1.  A reduced (u, v) is
+        unique, so the sum is the one full Cantor gives.
         """
         u1, v1 = D1.u, D1.v
         u2, v2 = D2.u, D2.v
@@ -200,8 +213,16 @@ class Jacobian:
         else:
             d, c1, c2 = d1.xgcd(v1 + v2)
             if doubling and d.degree == 0:
-                u = u1 * u1
-                v = v1 + u1 * (c2 * (self.f - v1 * v1).exact_div(u1) % u1)
+                w = (self.f - v1 * v1).exact_div(u1)
+                t = c2 * w % u1
+                v = v1 + u1 * t
+                if 2 * u1.degree <= self.genus:
+                    u = u1 * u1
+                else:
+                    # the first reduction step, from the lift's pieces:
+                    # (f - v^2) / u1^2 = (w - 2 v1 t) / u1 - t^2
+                    u = ((w - v1 * t * 2).exact_div(u1) - t * t).monic()
+                    v = (-v) % u
             else:
                 s1, s2, s3 = c1 * e1, c1 * e2, c2
                 mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + self.f)
@@ -446,7 +467,7 @@ def _adds_to_neg(jac: Jacobian, B: MumfordDivisor, D: MumfordDivisor) -> bool:
         if ua != jac.field.zero:
             f = jac.f
             lam = jac.field.div(b - v(a), ua)
-            if f.coeff(2 * g) - lam * lam != f.leading * (2 * u.coeff(g - 1) - a):
+            if f.coeff(2 * g) - lam**2 != f.leading * (2 * u.coeff(g - 1) - a):
                 return False
             V = v + u * lam
             return f - V * V == u * u * D.u * f.leading

@@ -22,6 +22,7 @@ from tpe.algebra import (
     PrimeField,
     discriminant,
     is_squarefree,
+    power,
     roots_mod_p,
     splits_completely_mod_p,
 )
@@ -249,14 +250,7 @@ class TowerElement:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative power; use tower_invert")
-        result = self.tower.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.tower.one)
 
     def __truediv__(self, other):
         o = self._coerce(other)

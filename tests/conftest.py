@@ -1,10 +1,11 @@
 """Shared helpers: independent oracles kept deliberately separate from the
 implementation paths they check (Sylvester determinants for resultants,
 brute-force point counts, enumeration square roots, Cantor's full
-composition, double-and-add from the lowest set bit, linear order scans,
-baby-step giant-step over the generic Hasse-Weil interval and over the
-narrowed one, enumerated Jacobian orders, the exact n*D = 0 built in full,
-and B + D = -B by building B + D)."""
+composition and reduction with squares taken as general products,
+double-and-add from the lowest set bit, linear order scans, baby-step
+giant-step over the generic Hasse-Weil interval and over the narrowed one,
+enumerated Jacobian orders, the exact n*D = 0 built in full, and
+B + D = -B by building B + D)."""
 
 from __future__ import annotations
 
@@ -116,20 +117,32 @@ def random_reduced_class(jac: Jacobian, rng: random.Random):
             return D
 
 
-def cantor_add_reference(jac: Jacobian, D1, D2):
-    """D1 + D2 by Cantor's composition with every step spelled out: two
-    xgcds, the s3 term and both exact divisions by d, whatever d is; then
-    reduction to deg u <= g."""
+def _times(a: Poly, b: Poly) -> Poly:
+    """a * b through the general product: a square multiplies by a copy, so
+    Poly.__mul__'s path for `other is self` is never taken."""
+    return a * Poly(b.field, b.coeffs)
+
+
+def cantor_compose_reference(jac: Jacobian, D1, D2):
+    """The unreduced (u, v) of Cantor's composition with every step spelled
+    out: two xgcds, the s3 term and both exact divisions by d, whatever d
+    is."""
     u1, v1 = D1.u, D1.v
     u2, v2 = D2.u, D2.v
     d1, e1, e2 = u1.xgcd(u2)
     d, c1, c2 = d1.xgcd(v1 + v2)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
-    u = (u1 * u2).exact_div(d * d)
-    mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + jac.f)
-    v = mixed.exact_div(d) % u
+    u = _times(u1, u2).exact_div(_times(d, d))
+    mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (_times(v1, v2) + jac.f)
+    return u, mixed.exact_div(d) % u
+
+
+def cantor_add_reference(jac: Jacobian, D1, D2):
+    """D1 + D2 by Cantor's full composition (`cantor_compose_reference`),
+    then reduction to deg u <= g, each step forming f - v^2 in full."""
+    u, v = cantor_compose_reference(jac, D1, D2)
     while u.degree > jac.genus:
-        u_next = (jac.f - v * v).exact_div(u).monic()
+        u_next = (jac.f - _times(v, v)).exact_div(u).monic()
         v = (-v) % u_next
         u = u_next
     return MumfordDivisor(u, v)

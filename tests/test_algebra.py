@@ -26,6 +26,7 @@ from tpe.algebra import (
     roots_mod_p,
     splits_completely_mod_p,
 )
+from tpe.tower import TowerElement, TowerSpec
 
 
 def test_is_prime_small():
@@ -290,3 +291,89 @@ def test_fp_poly_ops_match_q_reduced():
             gcd_checked += 1
             nontrivial += G.degree > 0
     assert gcd_checked >= 100 and nontrivial >= 50
+
+
+def _domains():
+    """(name, field, random coefficient) for QQ, F_101 and Q(sqrt 151);
+    about a quarter of the rationals and F_101 elements drawn are zero."""
+    q151 = TowerSpec([("s", qp(-151, 0, 1))])
+    s = q151.gen(0)
+
+    def rational(rng):
+        return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) if rng.random() > 0.25 else 0
+
+    return [
+        ("QQ", QQ, rational),
+        ("F_101", PrimeField(101), lambda rng: rng.randrange(101) if rng.random() > 0.25 else 0),
+        ("Q(sqrt151)", q151, lambda rng: rational(rng) + rational(rng) * s),
+    ]
+
+
+@pytest.mark.parametrize("name, field, coeff", _domains(), ids=[d[0] for d in _domains()])
+def test_square_equals_the_general_product(name, field, coeff):
+    """P * P (the square path, a_i ** 2 and 2 a_i a_j) equals P times a copy
+    of P (the general product), with zero coefficients inside and at the
+    low end, and for the zero and constant polynomials."""
+    rng = random.Random(41)
+    polys = [Poly(field), Poly.const(field, field.one), Poly(field, (0, 0, 3, 0, 1))]
+    polys += [Poly(field, [coeff(rng) for _ in range(rng.randrange(1, 9))]) for _ in range(60)]
+    for P in polys:
+        assert P * P == P * Poly(P.field, P.coeffs), P
+
+
+@pytest.mark.parametrize("name, field, coeff", _domains(), ids=[d[0] for d in _domains()])
+def test_xgcd_bezout_monic_common_divisor(name, field, coeff):
+    """g = s a + t b with g monic, g | a, g | b and g = a.gcd(b) (plain
+    Euclid), on seeded pairs with and without a common factor, constant and
+    zero arguments, and a = b.  The kinds of chain end are recorded: a
+    nonzero constant remainder (gcd 1) and a zero remainder."""
+    rng = random.Random(43)
+
+    def rand(max_len):
+        return Poly(field, [coeff(rng) for _ in range(rng.randrange(1, max_len + 1))])
+
+    pairs = []
+    for _ in range(40):
+        common = rand(3)
+        pairs.append((rand(5), rand(4)))
+        pairs.append((rand(4) * common, rand(3) * common))
+    c = Poly.const(field, field.coerce(3))
+    pairs += [(c, rand(5)), (rand(5), c), (Poly(field), rand(4)), (rand(4), Poly(field))]
+    pairs += [(P, P) for P in (rand(5), rand(5), c)] + [(Poly(field), Poly(field))]
+    ends = set()
+    for a, b in pairs:
+        g, s, t = a.xgcd(b)
+        assert s * a + t * b == g and g == a.gcd(b), (a, b)
+        if a.is_zero and b.is_zero:
+            assert g.is_zero
+            continue
+        assert g.leading == field.one and (a % g).is_zero and (b % g).is_zero, (a, b)
+        ends.add("gcd 1" if g.degree == 0 else "gcd of positive degree")
+    assert ends == {"gcd 1", "gcd of positive degree"}
+
+
+def test_power_is_repeated_products_and_a_square_one_product(monkeypatch):
+    """x ** e equals x * ... * x (e factors, 1 for e = 0) for e = 0..9 over
+    Fraction, Q(sqrt 151) and Poly over QQ, F_p and a tower; x ** 2 calls
+    __mul__ once for TowerElement and Poly."""
+    q151 = TowerSpec([("s", qp(-151, 0, 1))])
+    s = q151.gen(0)
+    values = [
+        (Fraction(-3, 7), Fraction(1)),
+        (Fraction(2, 3) + Fraction(-5, 4) * s, q151.one),
+        (qp(Fraction(1, 2), -3, 0, 2), qp(1)),
+        (Poly(PrimeField(13), (5, 0, 7)), Poly(PrimeField(13), (1,))),
+        (Poly(q151, (s, 0, Fraction(1, 3) - s)), Poly(q151, (q151.one,))),
+    ]
+    for x, one in values:
+        acc = one
+        for e in range(10):
+            assert x**e == acc, (x, e)
+            acc = acc * x
+    for cls, x in ((TowerElement, values[1][0]), (Poly, values[2][0]), (Poly, values[4][0])):
+        calls = []
+        mul = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__", lambda a, b, mul=mul: calls.append(1) or mul(a, b))
+        assert x**2 == mul(x, x)
+        assert len(calls) == 1, (cls, x)
+        monkeypatch.undo()

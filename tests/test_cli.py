@@ -171,6 +171,37 @@ def test_height_ceiling_must_be_positive(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TPE_HEIGHT_CEILING", "-5")
     code, _, err = run(capsys, ["family", "cd", "--d", "18", "--rank0"])
     assert code == 3 and "height ceiling" in err
+    # a value that is no integer names the variable
+    for bad in ("abc", "1.5"):
+        monkeypatch.setenv("TPE_HEIGHT_CEILING", bad)
+        code, out, err = run(capsys, ["family", "cd", "--d", "18", "--rank0"])
+        assert code == 3 and out == ""
+        assert f"TPE_HEIGHT_CEILING must be a positive digit count, not {bad!r}" in err
+
+
+def test_usage_errors_exit_3_and_help_exits_0(capsys, tmp_path):
+    """argparse's usage errors are malformed input (exit 3, never the 2 of
+    "inapplicable or undecidable"), in every subcommand; --help exits 0."""
+    curve = write(tmp_path, "curve.json", {"f": [9, 0, 0, 0, 0, 1]})
+    tower = write(tmp_path, "tower.json", {"generators": []})
+    argv = ["torsion", "--curve", curve, "--point", '{"type":"affine","x":0,"y":3}',
+            "--tower", tower]
+    for bad in (
+        argv + ["--p", "11", "--height-ceiling", "abc"],
+        argv + ["--p", "eleven"],
+        argv + ["--p", "11", "--no-such-flag"],
+        ["family", "cd", "--d", "1.5"],
+        ["sweep", "cd"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        captured = capsys.readouterr()
+        assert exc.value.code == 3 and captured.out == "" and "error:" in captured.err, bad
+    for ok in (["--help"], ["torsion", "--help"], ["family", "dd", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(ok)
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
 
 
 def test_sweep_command(capsys, tmp_path):

@@ -15,6 +15,7 @@ from conftest import (
     adds_to_neg_by_addition,
     brute_force_count,
     cantor_add_reference,
+    cantor_compose_reference,
     exact_multiple_is_zero,
     hasse_weil_order,
     linear_order,
@@ -57,7 +58,7 @@ from tpe.jacobian import (
     reduce_divisor,
     torsion_decide,
 )
-from tpe.tower import ResidueAssignment, TowerSpec, split_places
+from tpe.tower import ResidueAssignment, TowerElement, TowerSpec, split_places
 
 C9 = make_curve(qp(9, 0, 0, 0, 0, 1))
 C1 = make_curve(qp(1, 0, 0, 0, 0, 1))
@@ -420,6 +421,61 @@ def test_add_doubles_a_weierstrass_class_over_q_like_full_cantor():
         assert _sum_kind(jac, D, D) == "weierstrass double"
         assert jac.add(D, D) == cantor_add_reference(jac, D, D)
     assert jac.add(W, W) == jac.identity
+
+
+def _hensel_steps(jac: Jacobian, D: MumfordDivisor):
+    """How Jacobian.add reduces the Hensel doubling of D: None when D + D is
+    no Hensel doubling or needs no reduction, else whether u' =
+    monic((f - v^2) / u^2), for the (u, v) of the full composition, is
+    reduced (deg u' <= g) or the reduction loop goes on from it.
+    deg(f - v^2) = max(deg f, 2 deg v), as deg f is odd."""
+    if _sum_kind(jac, D, D) != "hensel double":
+        return None
+    u, v = cantor_compose_reference(jac, D, D)
+    if u.degree <= jac.genus:
+        return None
+    reduced = max(jac.f.degree, 2 * v.degree) - u.degree <= jac.genus
+    return "one step" if reduced else "more steps"
+
+
+def _max_bits(D: MumfordDivisor) -> int:
+    """Largest numerator or denominator bit length in D over Q or Q(sqrt c)."""
+    return max(
+        x.bit_length()
+        for poly in (D.u, D.v)
+        for c in poly.coeffs
+        for q in (c.coeffs.values() if isinstance(c, TowerElement) else (c,))
+        for x in (q.numerator, q.denominator)
+    )
+
+
+def test_hensel_doublings_match_full_cantor_at_full_height():
+    """Hensel doublings, whose first reduction step Jacobian.add takes from
+    the lift's pieces, equal Cantor's full composition and reduction: the
+    quintic class 2^k*D for k <= 6 and 51*D -> 102*D (16,413 bits) over Q,
+    the classes of `_points_and_sums_over` Q(sqrt 151) and some doubles,
+    and random genus-3 classes over F_19 and their doubles.  Both kinds of
+    reduction run: u' from the pieces is reduced (genus 2, and genus 3 with
+    deg u1 = 2), or the loop reduces it further (genus 3, deg u1 = 3)."""
+    jq = Jacobian.over_q(QUINTIC)
+    chain = [jq.embed(QUINTIC_POINT)]
+    for _ in range(6):
+        chain.append(jq.add(chain[-1], chain[-1]))
+    B = jq.mul(51, chain[0])
+    cases = [(jq, E) for E in chain + [B]]
+    j151, classes = _points_and_sums_over(TowerSpec([("s", qp(-151, 0, 1))]))
+    cases += [(j151, E) for E in classes + [j151.add(E, E) for E in classes[::5]]]
+    j19, rng = _oracle_jacobian(3, 19), random.Random(109)
+    for _ in range(30):
+        E = random_reduced_class(j19, rng)
+        cases += [(j19, E), (j19, j19.add(E, E))]
+    steps = {}
+    for jac, E in cases:
+        assert jac.add(E, E) == cantor_add_reference(jac, E, E), E
+        steps.setdefault(_hensel_steps(jac, E), set()).add(jac.field)
+    assert _max_bits(jq.add(B, B)) == 16_413
+    assert steps["one step"] == {QQ, j151.field, j19.field}
+    assert steps["more steps"] == {j19.field}
 
 
 def test_mul_is_repeated_addition():
