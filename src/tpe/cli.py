@@ -5,8 +5,8 @@ undecidable, 3 malformed input, usage errors included.  --json emits
 canonical JSON (sorted keys, no insignificant whitespace); identical inputs
 produce byte-identical output.
 The parser is built once per process; each subcommand names its handler with
-set_defaults(func=...), and `main` turns the input errors every handler may
-raise (OSError, ValueError) into exit 3.
+set_defaults(func=...); `main` returns argparse's code for a usage error or
+--help, and 3 for the input errors (OSError, ValueError) of any handler.
 """
 
 from __future__ import annotations
@@ -281,7 +281,10 @@ def main(argv=None) -> int:
         if arg == "--range" and argv[i + 1].startswith("-"):
             argv[i : i + 2] = [f"--range={argv[i + 1]}"]
             break
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 3 on a usage error, 0 on --help
+        return exc.code
     try:
         args.height_ceiling = resolve_height_ceiling(args.height_ceiling)
         return args.func(args)

@@ -184,16 +184,6 @@ class VerificationReport:
         raise KeyError(key)
 
 
-CONDITION_KEYS = (
-    "field-tower",
-    "split-prime",
-    "good-reduction",
-    "torsion-certificates",
-    "count-domination",
-    "reduction-injectivity",
-)
-
-
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -214,6 +204,19 @@ def resolve_sqrt_lc(doc: TPEDocument) -> TowerElement | None:
     if num is None or den is None:
         return None
     return doc.tower.rational(Fraction(num, den))
+
+
+def _weierstrass_base_refusal(
+    doc: TPEDocument, index: int, kind: str
+) -> EntryResult | None:
+    """Both Weierstrass entry kinds: on an odd model, 2(P - P0) = 0 for a
+    Weierstrass point P only when P0 is a Weierstrass point too."""
+    if doc.curve.odd_model and not is_weierstrass(doc.base_point, doc.curve):
+        return EntryResult(
+            index, kind, False,
+            "odd-model Weierstrass certificate needs a Weierstrass base point",
+        )
+    return None
 
 
 def _point_is_rational(point: CurvePoint, sqrt_lc: TowerElement | None) -> bool:
@@ -257,11 +260,8 @@ def verify_certificate(
     if isinstance(cert, WeierstrassTwoTorsionCert):
         if not is_weierstrass(point, curve):
             return EntryResult(index, kind, False, "point is not a Weierstrass point")
-        if curve.odd_model and not is_weierstrass(doc.base_point, curve):
-            return EntryResult(
-                index, kind, False,
-                "odd-model Weierstrass certificate needs a Weierstrass base point",
-            )
+        if refusal := _weierstrass_base_refusal(doc, index, kind):
+            return refusal
         return EntryResult(index, kind, True, "Weierstrass point", 2, points=1)
 
     if isinstance(cert, EvenModelInfinityCert):
@@ -335,15 +335,10 @@ def _verify_principal(
             index, kind, False,
             f"multiplicity {cert.m} != deg(v^2 - f) = {g.degree}",
         )
-    linear = Poly(tower, (-point.x, tower.one))
-    for _ in range(cert.m):
-        g, rem = divmod(g, linear)
-        if not rem.is_zero:
-            return EntryResult(
-                index, kind, False, "v^2 - f is not a perfect power of (x - a)"
-            )
-    if g.degree != 0:
-        return EntryResult(index, kind, False, "leftover factor after m divisions")
+    if g != Poly(tower, (-point.x, tower.one)) ** cert.m * g.leading:
+        return EntryResult(
+            index, kind, False, "v^2 - f is not a perfect power of (x - a)"
+        )
     return EntryResult(
         index, kind, True, f"div(y - v) = {cert.m}(P - inf)", cert.m, points=1
     )
@@ -358,25 +353,29 @@ def _verify_family(
         return EntryResult(index, kind, False, "family polynomial must be nonconstant")
     if not (curve.f % h).is_zero:  # f is squarefree (make_curve), so h is too
         return EntryResult(index, kind, False, "h does not divide f")
-    if curve.odd_model and not is_weierstrass(doc.base_point, curve):
-        return EntryResult(
-            index, kind, False,
-            "odd-model Weierstrass certificate needs a Weierstrass base point",
-        )
-    try:
-        if not splits_completely_mod_p(h, doc.p):
-            return EntryResult(
-                index, kind, False,
-                f"h does not split into distinct linear factors mod {doc.p}",
-            )
+    if refusal := _weierstrass_base_refusal(doc, index, kind):
+        return refusal
+    try:  # PrimeField refuses a bad p, coerce a non-p-integral h
+        hp = reduce_poly_mod_p(h, doc.p)
     except ValueError as exc:
         return EntryResult(index, kind, False, f"splitting test failed: {exc}")
-    roots = roots_mod_p(reduce_poly_mod_p(h, doc.p))
-    reductions = tuple(ReducedPoint(AFFINE, x=r, y=0) for r in sorted(roots))
+    if hp.degree != h.degree:
+        return EntryResult(
+            index, kind, False,
+            "splitting test failed: leading coefficient divisible by p",
+        )
+    # h mod p splits into distinct linear factors iff it has deg h roots
+    roots = roots_mod_p(hp)
+    if len(roots) != h.degree:
+        return EntryResult(
+            index, kind, False,
+            f"h does not split into distinct linear factors mod {doc.p}",
+        )
     return EntryResult(
         index, kind, True,
         f"{h.degree} Weierstrass points of h | f", 2,
-        points=h.degree, reductions=reductions,
+        points=h.degree,
+        reductions=tuple(ReducedPoint(AFFINE, x=r, y=0) for r in roots),
     )
 
 
@@ -470,9 +469,12 @@ def verify_tpe(
         ok3, det3 = False, str(exc)
     conditions.append(ConditionResult("good-reduction", ok3, det3, {"p": p}))
 
-    # (4) base point and per-entry torsion certificates
+    # (4) base point and per-entry torsion certificates; T is counted on the
+    # same walk (distinct explicit points plus deg h per family)
     sqrt_lc = resolve_sqrt_lc(doc)
     entry_results: list[EntryResult] = []
+    explicit: dict[CurvePoint, None] = {}
+    family_degree = 0
     ok4 = True
     det4_parts = []
     if not on_curve(doc.base_point, curve):
@@ -487,6 +489,10 @@ def verify_tpe(
         if not res.ok:
             ok4 = False
             det4_parts.append(f"entry {i}: {res.detail}")
+        if isinstance(entry, PointEntry):
+            explicit[entry.point] = None
+        else:
+            family_degree += entry.h.degree
     n_ok = sum(1 for r in entry_results if r.ok)
     det4 = (
         f"{n_ok}/{len(entry_results)} certificates verified"
@@ -499,17 +505,7 @@ def verify_tpe(
         )
     )
 
-    # (5) #T >= #C(F_p), with T recounted from the entries
-    explicit: list[CurvePoint] = []
-    seen = set()
-    family_degree = 0
-    for entry in doc.entries:
-        if isinstance(entry, PointEntry):
-            if entry.point not in seen:
-                seen.add(entry.point)
-                explicit.append(entry.point)
-        else:
-            family_degree += entry.h.degree
+    # (5) #T >= #C(F_p)
     t_count = len(explicit) + family_degree
     curve_count = count_points_mod_p(curve, p) if ok3 else None
     ok5 = curve_count is not None and t_count >= curve_count

@@ -4,8 +4,8 @@ brute-force point counts, enumeration square roots, Cantor's full
 composition and reduction with squares taken as general products,
 double-and-add from the lowest set bit, linear order scans, baby-step
 giant-step over the generic Hasse-Weil interval and over the narrowed one,
-enumerated Jacobian orders, the exact n*D = 0 built in full, and
-B + D = -B by building B + D)."""
+enumerated Jacobian orders, the exact n*D = 0 built in full,
+B + D = -B by building B + D, and the two-pass Weierstrass family check)."""
 
 from __future__ import annotations
 
@@ -13,8 +13,17 @@ import math
 import random
 from fractions import Fraction
 
-from tpe.algebra import Poly, QQ, is_prime, legendre_symbol, small_divisors
-from tpe.curve import CurvePoint, ReducedPoint
+from tpe.algebra import (
+    Poly,
+    QQ,
+    is_prime,
+    legendre_symbol,
+    reduce_poly_mod_p,
+    roots_mod_p,
+    small_divisors,
+    splits_completely_mod_p,
+)
+from tpe.curve import AFFINE, CurvePoint, ReducedPoint, is_weierstrass
 from tpe.jacobian import (
     Jacobian,
     MumfordDivisor,
@@ -290,3 +299,25 @@ def mumford_classes(f: list[int], p: int, genus: int) -> list[tuple[list[int], l
                 if not any(rem(sq, u)):
                     out.append((u, v))
     return out
+
+
+def two_pass_family_check(h: Poly, doc) -> tuple[bool, str, tuple]:
+    """(ok, detail, reductions) of a Weierstrass family entry with h, decided
+    in two passes: the x^p test of `splits_completely_mod_p`, then
+    `roots_mod_p` of a fresh reduction of h for the residues.  The refusals
+    and their order are those of the one-pass check in `tpe.envelope`."""
+    curve = doc.curve
+    if h.degree < 1:
+        return False, "family polynomial must be nonconstant", ()
+    if not (curve.f % h).is_zero:
+        return False, "h does not divide f", ()
+    if curve.odd_model and not is_weierstrass(doc.base_point, curve):
+        return False, "odd-model Weierstrass certificate needs a Weierstrass base point", ()
+    try:
+        if not splits_completely_mod_p(h, doc.p):
+            return False, f"h does not split into distinct linear factors mod {doc.p}", ()
+    except ValueError as exc:
+        return False, f"splitting test failed: {exc}", ()
+    roots = roots_mod_p(reduce_poly_mod_p(h, doc.p))
+    reductions = tuple(ReducedPoint(AFFINE, x=r, y=0) for r in sorted(roots))
+    return True, f"{h.degree} Weierstrass points of h | f", reductions

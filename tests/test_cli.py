@@ -181,7 +181,8 @@ def test_height_ceiling_must_be_positive(capsys, tmp_path, monkeypatch):
 
 def test_usage_errors_exit_3_and_help_exits_0(capsys, tmp_path):
     """argparse's usage errors are malformed input (exit 3, never the 2 of
-    "inapplicable or undecidable"), in every subcommand; --help exits 0."""
+    "inapplicable or undecidable"), in every subcommand; --help exits 0.
+    `main` returns these codes instead of raising SystemExit."""
     curve = write(tmp_path, "curve.json", {"f": [9, 0, 0, 0, 0, 1]})
     tower = write(tmp_path, "tower.json", {"generators": []})
     argv = ["torsion", "--curve", curve, "--point", '{"type":"affine","x":0,"y":3}',
@@ -194,14 +195,11 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys, tmp_path):
         ["sweep", "cd"],
         [],
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(bad)
-        captured = capsys.readouterr()
-        assert exc.value.code == 3 and captured.out == "" and "error:" in captured.err, bad
+        code, out, err = run(capsys, bad)
+        assert code == 3 and out == "" and "error:" in err, bad
     for ok in (["--help"], ["torsion", "--help"], ["family", "dd", "--help"]):
-        with pytest.raises(SystemExit) as exc:
-            main(ok)
-        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+        code, out, _ = run(capsys, ok)
+        assert code == 0 and "usage:" in out, ok
 
 
 def test_sweep_command(capsys, tmp_path):
@@ -411,15 +409,21 @@ def test_malformed_rank_fixture_exits_3(capsys, tmp_path, values):
 
 def test_module_entry_point_runs_the_cli(tmp_path):
     """`python -m tpe.cli verify` gives the same verdict as `tpe verify`:
-    the bundled quadratic document is refuted (exit 1)."""
+    the bundled quadratic document is refuted (exit 1).  The process exits 3
+    on a usage error and 0 on --help, the codes `main` returns."""
     path = tmp_path / "quadratic.json"
     path.write_text(bundled_document_text("quadratic_sqrt15.json"))
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = filter(None, (src, os.environ.get("PYTHONPATH")))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "tpe.cli", "verify", str(path)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert "RESULT: NOT VERIFIED" in proc.stdout
+    for argv, code, text in (
+        (["verify", str(path)], 1, "RESULT: NOT VERIFIED"),
+        (["verify"], 3, ""),
+        (["--help"], 0, "usage:"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpe.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert text in proc.stdout, argv

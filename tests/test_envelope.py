@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import qp
+from conftest import qp, two_pass_family_check
+from tpe.algebra import is_prime
 from tpe.curve import CurvePoint, make_curve
 from tpe.envelope import (
     BasePointCert,
@@ -23,7 +24,13 @@ from tpe.envelope import (
     verify_certificate,
     verify_tpe,
 )
-from tpe.families import generate_cd, generate_dd, generate_xpx, rational_point_set
+from tpe.families import (
+    Inapplicable,
+    generate_cd,
+    generate_dd,
+    generate_xpx,
+    rational_point_set,
+)
 from tpe.jacobian import Jacobian
 from tpe.tower import TowerSpec, split_places
 
@@ -88,6 +95,40 @@ def test_principal_divisor_rejections():
     assert not verify_certificate(good, doc2).ok
 
 
+def test_principal_identity_refuses_a_second_root():
+    """v^2 - f = c (x - a)^(m-1) (x - b) has degree m but is not a perfect
+    power of (x - a); a wrong m is refused first, by the degree."""
+    # y^2 = x^5 - x^4 + 9, v = 3 at (0, 3): v^2 - f = -x^4 (x - 1)
+    curve = make_curve(qp(9, 0, 0, 0, -1, 1))
+    base = CurvePoint.infinity()
+    doc = TPEDocument(
+        curve, base, QTRIV, 11, (PointEntry(base, BasePointCert()),),
+        RankAssertion(False, "test"),
+    )
+    point = CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(3))
+    v = (QTRIV.rational(3),)
+    res = verify_certificate(PointEntry(point, PrincipalDivisorCert(v, 5)), doc)
+    assert not res.ok and res.detail == "v^2 - f is not a perfect power of (x - a)"
+    res = verify_certificate(PointEntry(point, PrincipalDivisorCert(v, 4)), doc)
+    assert not res.ok and res.detail == "multiplicity 4 != deg(v^2 - f) = 5"
+
+
+def test_every_cd_principal_entry_verifies():
+    checked = 0
+    for d in [*range(-300, 0), *range(1, 301)]:
+        doc = generate_cd(d)
+        if isinstance(doc, Inapplicable):
+            continue
+        for i, entry in enumerate(doc.entries):
+            if isinstance(entry, PointEntry) and isinstance(
+                entry.certificate, PrincipalDivisorCert
+            ):
+                res = verify_certificate(entry, doc, index=i)
+                assert res.ok and res.order_divides == entry.certificate.m, (d, i)
+                checked += 1
+    assert checked == 220
+
+
 def test_base_point_certificate():
     doc = simple_cd_doc(9)
     assert verify_certificate(doc.entries[0], doc).ok
@@ -138,6 +179,93 @@ def test_family_entry_squarefree_over_q_but_not_mod_p():
     res = verify_certificate(WeierstrassFamilyEntry(qp(-5, 0, 1)), doc)
     assert not res.ok
     assert res.detail == "h does not split into distinct linear factors mod 5"
+
+
+def _family_outcome(entry, doc):
+    res = verify_certificate(entry, doc)
+    return res.ok, res.detail, res.reductions
+
+
+def test_family_check_matches_two_pass_oracle_on_generated_families():
+    """One root pass decides what the x^p test and a second root pass
+    decided: on every generated dd family (p = 3 mod 4, 7..199) and xpx family
+    (5..67), at the document's prime and at primes where h fails to split or
+    p divides lc(h)."""
+    docs = [
+        generate_dd(p, d)
+        for p in range(7, 200) if p % 4 == 3 and is_prime(p)
+        for d in (p, -2 * p)
+    ] + [generate_xpx(p) for p in range(5, 68) if is_prime(p)]
+    checked = 0
+    for doc in docs:
+        for entry in doc.entries:
+            if not isinstance(entry, WeierstrassFamilyEntry):
+                continue
+            for p in (doc.p, 3, 5, 7, 11, 13):
+                moved = dataclasses.replace(doc, p=p)
+                assert _family_outcome(entry, moved) == two_pass_family_check(
+                    entry.h, moved
+                ), (doc.curve.f, p)
+                checked += 1
+    assert checked == 6 * len(docs)
+
+
+# (h, cofactor, p, base point or None for infinity): f = h * cofactor is
+# squarefree over Q
+HAND_BUILT_FAMILIES = {
+    "split": ([2, -3, 1], [3, 0, 0, 1], 7, None),  # (x-1)(x-2), x^3+3
+    "p divides lc(h)": ([-1, 7], [2, 0, 0, 0, 1], 7, None),  # 7x-1, x^4+2
+    "double root mod p": ([8, -9, 1], [3, 0, 0, 1], 7, None),  # (x-1)(x-8)
+    "irreducible quadratic mod p": ([-2, 1, -2, 1], [3, 0, 1], 7, None),  # (x^2+1)(x-2)
+    "not p-integral": ([Fraction(-1, 7), 1], [2, 0, 0, 0, 1], 7, None),
+    "p = 9": ([-1, 1], [2, 0, 0, 0, 1], 9, None),
+    "non-Weierstrass base, h not split": ([1, 0, 1], [3, 0, 0, 1], 7, (-1, 2)),
+}
+
+
+def _hand_built_family(case):
+    """(entry, document) for a HAND_BUILT_FAMILIES case."""
+    h, cofactor, p, base = HAND_BUILT_FAMILIES[case]
+    h = qp(*h)
+    curve = make_curve(h * qp(*cofactor))
+    base_point = CurvePoint.infinity()
+    if base is not None:
+        base_point = CurvePoint.affine(QTRIV.rational(base[0]), QTRIV.rational(base[1]))
+        assert Fraction(base[1]) ** 2 == curve.f(Fraction(base[0]))
+    doc = TPEDocument(
+        curve, base_point, QTRIV, p, (PointEntry(base_point, BasePointCert()),),
+        RankAssertion(False, "test"),
+    )
+    return WeierstrassFamilyEntry(h), doc
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT_FAMILIES))
+def test_family_check_matches_two_pass_oracle_on_hand_built_entries(case):
+    entry, doc = _hand_built_family(case)
+    outcome = _family_outcome(entry, doc)
+    assert outcome == two_pass_family_check(entry.h, doc)
+    assert outcome[0] == (case == "split"), outcome
+
+
+def test_family_refusals_keep_their_text_and_order():
+    """The base-point rule comes before any splitting failure; a p dividing
+    lc(h), a non-p-integral h and a p that is not an odd prime are all
+    "splitting test failed" refusals."""
+    expected = {
+        "split": "2 Weierstrass points of h | f",
+        "p divides lc(h)": "splitting test failed: leading coefficient divisible by p",
+        "double root mod p": "h does not split into distinct linear factors mod 7",
+        "irreducible quadratic mod p": "h does not split into distinct linear factors mod 7",
+        "not p-integral": "splitting test failed: denominator 7 divisible by 7",
+        "p = 9": "splitting test failed: p = 9 is not an odd prime",
+        "non-Weierstrass base, h not split":
+            "odd-model Weierstrass certificate needs a Weierstrass base point",
+    }
+    assert set(expected) == set(HAND_BUILT_FAMILIES)
+    for case, detail in expected.items():
+        res = verify_certificate(*_hand_built_family(case))
+        assert res.detail == detail, case
+    assert [r.x for r in verify_certificate(*_hand_built_family("split")).reductions] == [1, 2]
 
 
 def test_even_infinity_certificate():
