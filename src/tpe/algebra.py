@@ -357,25 +357,35 @@ class Poly:
         return Poly.const(self.field, self.field.coerce(other))
 
     def __divmod__(self, other):
+        """(quotient, remainder) by long division.  The divisor's nonzero
+        terms below its leading one are listed once, and each quotient step
+        updates the remainder at those terms only, so a step costs the
+        divisor's nonzero terms, not its degree."""
         other = self._as_poly(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
-        rem = list(self.coeffs)
+        zero = field.zero
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(field), self
-        lead = other.leading
+        cs = other.coeffs
+        n = len(cs) - 1
+        lead = cs[n]
         inv = None if lead == field.one else field.div(field.one, lead)
-        quo = [field.zero] * (dq + 1)
+        terms = [(j, b) for j, b in enumerate(cs) if b != zero]
+        terms.pop()  # the leading term cancels rem[i + n] by construction
+        rem = list(self.coeffs)
+        quo = [zero] * (dq + 1)
         for i in range(dq, -1, -1):
-            top = field.coerce(rem[i + other.degree])
-            if top == field.zero:
+            top = field.coerce(rem[i + n])
+            if top == zero:
                 continue
             c = top if inv is None else field.coerce(top * inv)
             quo[i] = c
-            for j, b in enumerate(other.coeffs):
+            for j, b in terms:
                 rem[i + j] = rem[i + j] - c * b
+        del rem[n:]
         return Poly(field, quo), Poly(field, rem)
 
     def __floordiv__(self, other):
@@ -447,12 +457,32 @@ class Poly:
         return result
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; x must live in the coefficient domain."""
-        x = self.field.coerce(x)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return self.field.coerce(acc)
+        """Value at x by Horner's rule over the nonzero terms only.
+
+        Between two nonzero coefficients the accumulator is multiplied by
+        x^gap (`power`), and a trailing x^k factor is applied at the end, so
+        the cost counts nonzero terms, not the degree; a dense polynomial
+        (every gap 1) takes the plain Horner steps.  x lives in the
+        coefficient domain, or, for a polynomial over Q, in a tower ring
+        (anything with a `tower`), where the value is then taken."""
+        ring = self.field
+        if ring == QQ and hasattr(x, "tower"):
+            ring = x.tower
+        x = ring.coerce(x)
+        cs, zero = self.coeffs, self.field.zero
+        if not cs:
+            return ring.zero
+        k = len(cs) - 1
+        acc = cs[k]
+        for i in range(k - 1, -1, -1):
+            c = cs[i]
+            if c != zero:
+                gap = k - i
+                acc = acc * (x if gap == 1 else power(x, gap, ring.one)) + c
+                k = i
+        if k:
+            acc = acc * power(x, k, ring.one)
+        return ring.coerce(acc)
 
     def map_domain(self, field) -> "Poly":
         """Re-coerce all coefficients into another domain."""
@@ -544,13 +574,32 @@ def reduce_poly_mod_p(f: Poly, p: int) -> Poly:
     return Poly(PrimeField(p), f.coeffs)
 
 
-def horner_mod_p(coeffs, x: int, p: int) -> int:
-    """Value in [0, p) at x of the polynomial with int coefficients `coeffs`
-    (lowest degree first), by Horner's rule reduced at every step."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+def values_mod_p(g: Poly, xs) -> list[int]:
+    """[g(x) for x in xs] in [0, p), g over a PrimeField: the one evaluation
+    at residues (point counts, root searches, reduced points).
+
+    The nonzero terms of g are listed once for all residues, and each value
+    is Horner's rule over them with pow(x, gap, p) between two terms and
+    pow(x, k, p) for a trailing x^k factor, so the cost per residue counts
+    nonzero terms, not the degree."""
+    if not isinstance(g.field, PrimeField):
+        raise TypeError("values_mod_p expects a polynomial over F_p")
+    p = g.field.p
+    terms = [(i, c) for i, c in enumerate(g.coeffs) if c]
+    if not terms:
+        return [0 for _ in xs]
+    k, lead = terms[-1]
+    steps = []
+    for i, c in reversed(terms[:-1]):
+        steps.append((k - i, c))
+        k = i
+    out = []
+    for x in xs:
+        acc = lead
+        for gap, c in steps:
+            acc = (acc * pow(x, gap, p) + c) % p
+        out.append(acc * pow(x, k, p) % p if k else acc)
+    return out
 
 
 def roots_mod_p(g: Poly) -> list[int]:
@@ -559,8 +608,8 @@ def roots_mod_p(g: Poly) -> list[int]:
         raise TypeError("roots_mod_p expects a polynomial over F_p")
     if g.degree < 1:
         raise ValueError("roots_mod_p requires degree >= 1")
-    p = g.field.p
-    return [a for a in range(p) if horner_mod_p(g.coeffs, a, p) == 0]
+    values = values_mod_p(g, range(g.field.p))
+    return [a for a, v in enumerate(values) if v == 0]
 
 
 def splits_completely_mod_p(g: Poly, p: int) -> bool:

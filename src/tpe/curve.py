@@ -22,11 +22,11 @@ from tpe.algebra import (
     PrimeField,
     QQ,
     discriminant,
-    horner_mod_p,
     is_squarefree,
     legendre_symbol,
     poly_str,
     reduce_poly_mod_p,
+    values_mod_p,
 )
 from tpe.tower import ResidueAssignment, TowerElement, reduce_element
 
@@ -114,7 +114,7 @@ def count_points_mod_p(curve: HyperellipticCurve, p: int) -> int:
     fp = _good_reduction(curve, p)
     if fp is None:
         raise ValueError(f"bad reduction at {p}")
-    total = sum(1 + legendre_symbol(horner_mod_p(fp.coeffs, x, p), p) for x in range(p))
+    total = sum(1 + legendre_symbol(v, p) for v in values_mod_p(fp, range(p)))
     if curve.odd_model:
         total += 1
     else:
@@ -175,7 +175,7 @@ def on_curve(point: CurvePoint, curve: HyperellipticCurve) -> bool:
         return curve.odd_model
     if point.kind in (INF_PLUS, INF_MINUS):
         return not curve.odd_model
-    return point.y * point.y == curve.f.map_domain(point.x.tower)(point.x)
+    return point.y * point.y == curve.f(point.x)
 
 
 def is_weierstrass(point: CurvePoint, curve: HyperellipticCurve) -> bool:
@@ -245,6 +245,6 @@ def reduce_point(
     xb = reduce_element(point.x, w)
     yb = reduce_element(point.y, w)
     fp = reduce_poly_mod_p(curve.f, p)
-    if (yb * yb - horner_mod_p(fp.coeffs, xb, p)) % p != 0:
+    if (yb * yb - values_mod_p(fp, [xb])[0]) % p != 0:
         raise ValueError("reduced point violates the reduced curve equation")
     return ReducedPoint(AFFINE, x=xb, y=yb)

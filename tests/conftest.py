@@ -1,7 +1,8 @@
 """Shared helpers: independent oracles kept deliberately separate from the
 implementation paths they check (Sylvester determinants for resultants,
-brute-force point counts, enumeration square roots, Cantor's full
-composition and reduction with squares taken as general products,
+Horner's rule and long division over every coefficient, zeros included,
+plain-int brute-force point counts and roots, enumeration square roots,
+Cantor's full composition and reduction with squares taken as general products,
 double-and-add from the lowest set bit, linear order scans, baby-step
 giant-step over the generic Hasse-Weil interval and over the narrowed one,
 enumerated Jacobian orders, the exact n*D = 0 built in full,
@@ -17,7 +18,6 @@ from tpe.algebra import (
     Poly,
     QQ,
     is_prime,
-    legendre_symbol,
     reduce_poly_mod_p,
     roots_mod_p,
     small_divisors,
@@ -74,25 +74,66 @@ def sylvester_resultant(f: Poly, g: Poly) -> Fraction:
     return det
 
 
-def brute_force_count(f: Poly, p: int) -> int:
-    """#C(F_p) by enumerating all (x, y) in F_p^2, plus infinity points."""
-    cs = []
-    for c in f.coeffs:
-        assert c.denominator % p != 0
-        cs.append(c.numerator * pow(c.denominator, -1, p) % p)
-    total = 0
+def horner_dense_reference(f: Poly, x):
+    """f(x) by Horner's rule over every coefficient, zeros included; x in
+    the coefficient domain."""
+    field = f.field
+    x = field.coerce(x)
+    acc = field.zero
+    for c in reversed(f.coeffs):
+        acc = acc * x + c
+    return field.coerce(acc)
+
+
+def divmod_dense_reference(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """(quotient, remainder) by long division that updates the remainder at
+    every coefficient of b, the leading one and zero ones included."""
+    field = a.field
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    dq = a.degree - b.degree
+    if dq < 0:
+        return Poly(field), a
+    inv = field.div(field.one, b.leading)
+    rem = list(a.coeffs)
+    quo = [field.zero] * (dq + 1)
+    for i in range(dq, -1, -1):
+        c = field.coerce(rem[i + b.degree] * inv)
+        quo[i] = c
+        for j, bj in enumerate(b.coeffs):
+            rem[i + j] = rem[i + j] - c * bj
+    return Poly(field, quo), Poly(field, rem)
+
+
+def brute_force_points(terms: dict[int, int], p: int) -> tuple[int, list[int]]:
+    """(#C(F_p), [x in F_p with f(x) = 0]) for y^2 = f(x), f = sum of
+    c * x^e over the int {e: c} of `terms`, lc(f) prime to p.  Every (x, y)
+    in F_p^2 is tried, with f(x) summed term by term (no Horner, no Poly);
+    infinity adds 1 on odd models and, on even ones, 2 when lc(f) is a
+    square mod p (found by enumeration), else 0."""
+    deg = max(terms)
+    total, zeros = 0, []
     for x in range(p):
-        fx = 0
-        for c in reversed(cs):
-            fx = (fx * x + c) % p
-        for y in range(p):
-            if y * y % p == fx:
-                total += 1
-    if f.degree % 2 == 1:
+        fx = sum(c * pow(x, e, p) for e, c in terms.items()) % p
+        if fx == 0:
+            zeros.append(x)
+        total += sum(1 for y in range(p) if y * y % p == fx)
+    lc = terms[deg] % p
+    if deg % 2:
         total += 1
-    else:
-        total += 2 if legendre_symbol(cs[-1], p) == 1 else 0
-    return total
+    elif any(y * y % p == lc for y in range(1, p)):
+        total += 2
+    return total, zeros
+
+
+def brute_force_count(f: Poly, p: int) -> int:
+    """#C(F_p) of y^2 = f(x) for a p-integral rational f, by
+    `brute_force_points` on its coefficients mod p."""
+    terms = {}
+    for e, c in enumerate(f.coeffs):
+        assert c.denominator % p != 0
+        terms[e] = c.numerator * pow(c.denominator, -1, p) % p
+    return brute_force_points(terms, p)[0]
 
 
 def sqrt_mod(a: int, p: int):

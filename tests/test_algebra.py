@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import qp, sylvester_resultant
+from conftest import divmod_dense_reference, horner_dense_reference, qp, sylvester_resultant
 from tpe.algebra import (
     NonIntegralError,
     Poly,
@@ -25,6 +25,7 @@ from tpe.algebra import (
     resultant,
     roots_mod_p,
     splits_completely_mod_p,
+    values_mod_p,
 )
 from tpe.tower import TowerElement, TowerSpec
 
@@ -294,19 +295,91 @@ def test_fp_poly_ops_match_q_reduced():
 
 
 def _domains():
-    """(name, field, random coefficient) for QQ, F_101 and Q(sqrt 151);
-    about a quarter of the rationals and F_101 elements drawn are zero."""
+    """(name, field, random coefficient) for QQ, F_3, F_101, F_199 and
+    Q(sqrt 151); about a quarter of the rationals and F_p elements drawn are
+    zero."""
     q151 = TowerSpec([("s", qp(-151, 0, 1))])
     s = q151.gen(0)
 
     def rational(rng):
         return Fraction(rng.randrange(-9, 10), rng.randrange(1, 6)) if rng.random() > 0.25 else 0
 
+    def residue(p):
+        return lambda rng: rng.randrange(p) if rng.random() > 0.25 else 0
+
     return [
         ("QQ", QQ, rational),
-        ("F_101", PrimeField(101), lambda rng: rng.randrange(101) if rng.random() > 0.25 else 0),
+        ("F_3", PrimeField(3), residue(3)),
+        ("F_101", PrimeField(101), residue(101)),
+        ("F_199", PrimeField(199), residue(199)),
         ("Q(sqrt151)", q151, lambda rng: rational(rng) + rational(rng) * s),
     ]
+
+
+def _sparse_and_dense(field, coeff, rng, count, max_deg):
+    """The zero polynomial, constants, x^k, and `count` seeded polynomials
+    of degree below max_deg: half sparse (one to four nonzero terms, gaps
+    above 1, often a trailing x^k factor), half dense (gaps of 1, and of 2
+    where a zero is drawn)."""
+
+    def nonzero(rng):
+        c = field.zero
+        while c == field.zero:
+            c = field.coerce(coeff(rng))
+        return c
+
+    polys = [Poly(field), Poly.const(field, nonzero(rng)), Poly(field, (0, 0, 0, 1))]
+    for n in range(count):
+        deg = rng.randrange(1, max_deg)
+        if n % 2:
+            polys.append(Poly(field, [coeff(rng) for _ in range(deg)] + [nonzero(rng)]))
+            continue
+        low = rng.choice((0, 0, 1, rng.randrange(deg + 1)))
+        support = {low, deg} | set(rng.sample(range(low, deg + 1), min(2, deg + 1 - low)))
+        cs = [field.zero] * (deg + 1)
+        for e in support:
+            cs[e] = nonzero(rng)
+        polys.append(Poly(field, cs))
+    return polys
+
+
+@pytest.mark.parametrize("name, field, coeff", _domains(), ids=[d[0] for d in _domains()])
+def test_evaluation_matches_dense_horner(name, field, coeff):
+    """P(x) (Horner over the nonzero terms, x^gap between them and x^k for a
+    trailing factor) equals Horner over every coefficient, at every residue
+    over F_p (where values_mod_p must agree too) and at x = 0, 1 and seeded
+    x elsewhere; over the tower, a rational P at a tower point equals its
+    lift there."""
+    rng = random.Random(47)
+    fp = isinstance(field, PrimeField)
+    xs = range(field.p) if fp else [field.zero, field.one] + [coeff(rng) for _ in range(4)]
+    for P in _sparse_and_dense(field, coeff, rng, 40, 40):
+        expected = [horner_dense_reference(P, x) for x in xs]
+        assert [P(x) for x in xs] == expected, P
+        if fp:
+            assert values_mod_p(P, xs) == expected, P
+    if isinstance(field, TowerSpec):
+        for P in _sparse_and_dense(QQ, lambda rng: rng.randrange(-9, 10), rng, 20, 30):
+            for x in xs:
+                assert P(x) == horner_dense_reference(P.map_domain(field), x), (P, x)
+
+
+@pytest.mark.parametrize("name, field, coeff", _domains(), ids=[d[0] for d in _domains()])
+def test_division_matches_dense_long_division(name, field, coeff):
+    """divmod (updates at the divisor's nonzero terms below its leading
+    one) equals long division over every divisor coefficient, for sparse
+    and dense dividends and divisors, divisors that are not monic and have
+    zeros inside, constant divisors and a zero dividend."""
+    rng = random.Random(53)
+    dividends = _sparse_and_dense(field, coeff, rng, 16, 30)
+    divisors = [b for b in _sparse_and_dense(field, coeff, rng, 16, 10) if not b.is_zero]
+    assert divisors[0].degree == 0
+    assert any(b.leading != field.one and field.zero in b.coeffs[1:-1] for b in divisors)
+    for a in dividends:
+        for b in rng.sample(divisors, 6) + [divisors[0]]:
+            q, r = divmod(a, b)
+            assert (q, r) == divmod_dense_reference(a, b), (a, b)
+            assert q * b + r == a and r.degree < b.degree
 
 
 @pytest.mark.parametrize("name, field, coeff", _domains(), ids=[d[0] for d in _domains()])

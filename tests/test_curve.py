@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_count, qp
+from conftest import brute_force_count, brute_force_points, qp
 from tpe.algebra import (
     NonIntegralError,
     PrimeField,
     cyclotomic,
     discriminant,
+    is_prime,
     reduce_poly_mod_p,
     roots_mod_p,
 )
@@ -143,12 +144,15 @@ def test_count_points_even_model_nonsquare_leading():
 
 
 def test_count_points_against_brute_force_oracle():
+    """count_points_mod_p and roots_mod_p against the plain-int brute force
+    over F_p^2 on seeded dense quintics and sextics."""
     rng = random.Random(43)
     done = 0
     while done < 60:
         p = rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
         deg = rng.choice([5, 6])
-        f = qp(*[rng.randrange(-15, 16) for _ in range(deg)] + [rng.randrange(1, 10)])
+        cs = [rng.randrange(-15, 16) for _ in range(deg)] + [rng.randrange(1, 10)]
+        f = qp(*cs)
         if f.degree != deg:
             continue
         try:
@@ -157,8 +161,42 @@ def test_count_points_against_brute_force_oracle():
             continue
         if not has_good_reduction(curve, p):
             continue
-        assert count_points_mod_p(curve, p) == brute_force_count(f, p)
+        count, zeros = brute_force_points(dict(enumerate(cs)), p)
+        assert count_points_mod_p(curve, p) == brute_force_count(f, p) == count
+        assert roots_mod_p(reduce_poly_mod_p(f, p)) == zeros
         done += 1
+
+
+def _sparse_family_curves():
+    """{e: c} of the dd curves x^(p-1) + d x^((p-1)/2) - 1 (p = 3 mod 4 in
+    7..199, d in {p, -2p}) and the xpx curves x^p - x (p in 5..67), each
+    with its own prime."""
+    out = []
+    for p in range(7, 200):
+        if is_prime(p) and p % 4 == 3:
+            out += [({0: -1, (p - 1) // 2: d, p - 1: 1}, p) for d in (p, -2 * p)]
+    out += [({1: -1, p: 1}, p) for p in range(5, 68) if is_prime(p)]
+    return out
+
+
+def test_sparse_family_counts_and_roots_against_brute_force():
+    """On every dd and xpx curve, at its own prime and at the least other
+    prime of good reduction, count_points_mod_p equals the plain-int brute
+    force over F_p^2, and roots_mod_p lists the x it finds with f(x) = 0."""
+    checked = 0
+    for terms, own in _sparse_family_curves():
+        cs = [0] * (max(terms) + 1)
+        for e, c in terms.items():
+            cs[e] = c
+        f = qp(*cs)
+        curve = make_curve(f)
+        other = next(q for q in (3, 5, 7, 11, 13) if q != own and has_good_reduction(curve, q))
+        for p in (own, other):
+            count, zeros = brute_force_points(terms, p)
+            assert count_points_mod_p(curve, p) == count, (terms, p)
+            assert roots_mod_p(reduce_poly_mod_p(f, p)) == zeros, (terms, p)
+            checked += 1
+    assert checked == 2 * (2 * 23 + 17)
 
 
 def test_count_requires_good_reduction():
