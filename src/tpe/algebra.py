@@ -3,8 +3,12 @@
 Rationals are ``fractions.Fraction`` (always reduced, positive denominator),
 F_p elements are plain ints in [0, p), and polynomials are dense coefficient
 tuples over an explicit coefficient domain.  Every domain offers the same
-small ring interface (zero, one, coerce, div), so one polynomial class serves
-Q, F_p and number-field towers; the domain, not the element, knows p.
+small ring interface (zero, one, coerce, coerce_all, div), so one polynomial
+class serves Q, F_p and number-field towers; the domain, not the element,
+knows p.  Tuples stay dense, zeros included, but the constructor coerces in
+bulk (an element already of the domain's exact type costs no call), and
+every pass that multiplies coefficients skips the zeros, which are false in
+every domain.
 All values are immutable and every operation is pure.
 """
 
@@ -159,11 +163,16 @@ class RationalDomain:
     one = Fraction(1)
 
     def coerce(self, value) -> Fraction:
-        if isinstance(value, Fraction):
+        if type(value) is Fraction or isinstance(value, Fraction):
             return value
         if isinstance(value, int):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into Q")
+
+    def coerce_all(self, values) -> list:
+        """[coerce(c) for c in values]; a Fraction is kept without a call."""
+        coerce = self.coerce
+        return [c if type(c) is Fraction else coerce(c) for c in values]
 
     def div(self, a: Fraction, b: Fraction) -> Fraction:
         return a / b
@@ -214,6 +223,16 @@ class PrimeField:
             return value.numerator * pow(value.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
 
+    def coerce_all(self, values) -> list:
+        """[coerce(c) for c in values]; an int or integral Fraction n is n % p."""
+        p, coerce = self.p, self.coerce
+        return [
+            c % p if type(c) is int
+            else c.numerator % p if type(c) is Fraction and c.denominator == 1
+            else coerce(c)
+            for c in values
+        ]
+
     def div(self, a: int, b: int) -> int:
         p = self.p
         if b % p == 0:
@@ -239,16 +258,18 @@ class Poly:
 
     The zero polynomial has an empty coefficient tuple and degree -1.
     Coefficients live in an explicit domain (QQ, PrimeField, TowerSpec)
-    whose elements support +, - and *; the domain supplies zero, one,
-    `coerce` (which also reduces F_p ints into [0, p)) and `div`.  Polys over
-    different domains, such as F_7 and F_11, never combine.
+    whose elements support +, - and * and are false exactly when zero; the
+    domain supplies zero, one, `coerce` (which also reduces F_p ints into
+    [0, p)), its bulk form `coerce_all`, and `div`.  Polys over different
+    domains, such as F_7 and F_11, never combine.  The constructor is the
+    one place coefficients are checked, in bulk by `coerce_all`.
     """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        cs = list(map(field.coerce, coeffs))
-        while cs and cs[-1] == field.zero:
+        cs = field.coerce_all(coeffs)
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -316,19 +337,18 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             c = self.field.coerce(other)
-            return Poly(self.field, [a * c for a in self.coeffs])
+            return Poly(self.field, [a * c if a else a for a in self.coeffs])
         if other.field != self.field:
             raise ValueError("coefficient domain mismatch")
         if self.is_zero or other.is_zero:
             return Poly(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         if other is self:
             # a square: a_i ** 2 once and 2 a_i a_j for i < j; a reduced
             # Fraction raised with ** skips the cross-gcds of a_i * a_i
             cs = self.coeffs
             for i, a in enumerate(cs):
-                if a == zero:
+                if not a:
                     continue
                 out[2 * i] += a**2
                 twice = 2 * a
@@ -336,7 +356,7 @@ class Poly:
                     out[i + j] += twice * cs[j]
             return Poly(self.field, out)
         for i, a in enumerate(self.coeffs):
-            if a == zero:
+            if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
@@ -365,7 +385,6 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
-        zero = field.zero
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
             return Poly(field), self
@@ -373,13 +392,13 @@ class Poly:
         n = len(cs) - 1
         lead = cs[n]
         inv = None if lead == field.one else field.div(field.one, lead)
-        terms = [(j, b) for j, b in enumerate(cs) if b != zero]
+        terms = [(j, b) for j, b in enumerate(cs) if b]
         terms.pop()  # the leading term cancels rem[i + n] by construction
         rem = list(self.coeffs)
-        quo = [zero] * (dq + 1)
+        quo = [field.zero] * (dq + 1)
         for i in range(dq, -1, -1):
             top = field.coerce(rem[i + n])
-            if top == zero:
+            if not top:
                 continue
             c = top if inv is None else field.coerce(top * inv)
             quo[i] = c
@@ -407,13 +426,10 @@ class Poly:
         if self.leading == field.one:
             return self
         inv = field.div(field.one, self.leading)
-        return Poly(field, [c * inv for c in self.coeffs])
+        return Poly(field, [c * inv if c else c for c in self.coeffs])
 
     def derivative(self) -> "Poly":
-        return Poly(
-            self.field,
-            [c * i for i, c in enumerate(self.coeffs)][1:],
-        )
+        return Poly(self.field, [c * i if c else c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def gcd(self, other) -> "Poly":
         """Monic greatest common divisor (Euclid)."""
@@ -469,14 +485,14 @@ class Poly:
         if ring == QQ and hasattr(x, "tower"):
             ring = x.tower
         x = ring.coerce(x)
-        cs, zero = self.coeffs, self.field.zero
+        cs = self.coeffs
         if not cs:
             return ring.zero
         k = len(cs) - 1
         acc = cs[k]
         for i in range(k - 1, -1, -1):
             c = cs[i]
-            if c != zero:
+            if c:
                 gap = k - i
                 acc = acc * (x if gap == 1 else power(x, gap, ring.one)) + c
                 k = i
@@ -655,16 +671,14 @@ def rational_roots(f: Poly) -> list[Fraction]:
         raise ValueError("zero polynomial")
     roots = []
     cs = list(f.coeffs)
-    if cs and cs[0] == 0:
+    if not cs[0]:
         roots.append(Fraction(0))
-        while cs and cs[0] == 0:
+        while not cs[0]:
             cs.pop(0)
     if len(cs) <= 1:
         return sorted(set(roots))
-    lcm_den = 1
-    for c in cs:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ics = [int(c * lcm_den) for c in cs]
+    lcm_den = math.lcm(*(c.denominator for c in cs))
+    ics = [c.numerator * (lcm_den // c.denominator) for c in cs]
     a0, an = ics[0], ics[-1]
     g = Poly.over_q(ics)
     for num in small_divisors(a0):

@@ -50,22 +50,28 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit canonical JSON")
-    common.add_argument(
-        "--place", type=int, default=None, metavar="INDEX",
-        help="index into the split places (default: first, smallest residues)",
-    )
-    common.add_argument(
-        "--height-ceiling", type=int, default=None, metavar="N",
-        help="digit ceiling for exact number-field arithmetic "
-        "(default: TPE_HEIGHT_CEILING or 1000000)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved for the randomized test harness; the tool itself is "
-        "deterministic and ignores it",
-    )
+    def flags(exact: bool) -> argparse.ArgumentParser:
+        """The shared flags; `exact` adds those only exact work reads."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument("--json", action="store_true", help="emit canonical JSON")
+        if exact:
+            parent.add_argument(
+                "--place", type=int, default=None, metavar="INDEX",
+                help="index into the split places (default: first, smallest residues)",
+            )
+            parent.add_argument(
+                "--height-ceiling", type=int, default=None, metavar="N",
+                help="digit ceiling for exact number-field arithmetic "
+                "(default: TPE_HEIGHT_CEILING or 1000000)",
+            )
+        parent.add_argument(
+            "--seed", type=int, default=None,
+            help="reserved for the randomized test harness; the tool itself is "
+            "deterministic and ignores it",
+        )
+        return parent
+
+    common, plain = flags(exact=True), flags(exact=False)
 
     parser = _Parser(
         prog="tpe",
@@ -101,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         fp.add_argument("--out", metavar="FILE", help="save the document JSON")
         fp.set_defaults(func=cmd_family)
 
-    pc = sub.add_parser("count", parents=[common], help="#C(F_p) for a curve file")
+    pc = sub.add_parser("count", parents=[plain], help="#C(F_p) for a curve file")
     pc.add_argument("--curve", required=True, metavar="FILE")
     pc.add_argument("--p", type=int, required=True)
     pc.set_defaults(func=cmd_count)
@@ -118,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="run a family over a range")
     ssub = ps.add_subparsers(dest="family_name", required=True)
-    scd = ssub.add_parser("cd", parents=[common])
+    scd = ssub.add_parser("cd", parents=[plain])
     scd.add_argument("--range", required=True, metavar="A..B")
     scd.add_argument("--rank-fixture", metavar="FILE", help="default: bundled table")
     scd.add_argument("--out", metavar="FILE", help="save the census JSON")
@@ -286,7 +292,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 3 on a usage error, 0 on --help
         return exc.code
     try:
-        args.height_ceiling = resolve_height_ceiling(args.height_ceiling)
+        # TPE_HEIGHT_CEILING is checked on every command, the flag where it exists
+        args.height_ceiling = resolve_height_ceiling(getattr(args, "height_ceiling", None))
         return args.func(args)
     except (OSError, ValueError) as exc:
         # malformed input: DocumentError, JSONDecodeError and NonIntegralError

@@ -120,6 +120,11 @@ class TowerSpec:
             return self.rational(value)
         raise TypeError(f"cannot coerce {value!r} into tower ring")
 
+    def coerce_all(self, values) -> list:
+        """[coerce(c) for c in values]; an element of this tower object is kept."""
+        coerce = self.coerce
+        return [c if type(c) is TowerElement and c.tower is self else coerce(c) for c in values]
+
     def div(self, a: "TowerElement", b: "TowerElement") -> "TowerElement":
         return a * tower_invert(b)
 
@@ -182,6 +187,9 @@ class TowerElement:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def is_rational(self):
         """The element as a Fraction if its non-constant coefficients vanish."""

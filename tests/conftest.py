@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles kept deliberately separate from the
 implementation paths they check (Sylvester determinants for resultants,
-Horner's rule and long division over every coefficient, zeros included,
+polynomial construction one coerce call per coefficient, Horner's rule and
+long division over every coefficient, zeros included,
 plain-int brute-force point counts and roots, enumeration square roots,
 Cantor's full composition and reduction with squares taken as general products,
 double-and-add from the lowest set bit, linear order scans, baby-step
@@ -72,6 +73,15 @@ def sylvester_resultant(f: Poly, g: Poly) -> Fraction:
                 factor = rows[r][col] * inv
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return det
+
+
+def construction_reference(field, coeffs) -> tuple:
+    """The coefficients of Poly(field, coeffs) built one `coerce` call per
+    coefficient, with trailing entries equal to field.zero stripped."""
+    cs = [field.coerce(c) for c in coeffs]
+    while cs and cs[-1] == field.zero:
+        cs.pop()
+    return tuple(cs)
 
 
 def horner_dense_reference(f: Poly, x):

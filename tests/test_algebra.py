@@ -2,13 +2,20 @@
 splitting tests.  Expected values are either immediate or frozen from the
 independent oracles in conftest."""
 
+import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import divmod_dense_reference, horner_dense_reference, qp, sylvester_resultant
+from conftest import (
+    construction_reference,
+    divmod_dense_reference,
+    horner_dense_reference,
+    qp,
+    sylvester_resultant,
+)
 from tpe.algebra import (
     NonIntegralError,
     Poly,
@@ -24,6 +31,7 @@ from tpe.algebra import (
     reduce_poly_mod_p,
     resultant,
     roots_mod_p,
+    small_divisors,
     splits_completely_mod_p,
     values_mod_p,
 )
@@ -450,3 +458,134 @@ def test_power_is_repeated_products_and_a_square_one_product(monkeypatch):
         assert x**2 == mul(x, x)
         assert len(calls) == 1, (cls, x)
         monkeypatch.undo()
+
+
+Q151 = TowerSpec([("s", qp(-151, 0, 1))])
+CONSTRUCTION_DOMAINS = [QQ, PrimeField(3), PrimeField(199), Q151]
+
+
+def _construction_input(field, rng):
+    """One constructor input for `field`: a negative int, an int >= p, a
+    bool, an integral, a non-integral or a zero Fraction, a plain 0, a small
+    int, or (over the tower) an element of that tower, zero included;
+    non-integral denominators are prime to p (p = 7 off F_p)."""
+    p = getattr(field, "p", 7)
+    kind = rng.randrange(9 if isinstance(field, TowerSpec) else 7)
+    if kind == 0:
+        return -rng.randrange(1, 3 * p)
+    if kind == 1:
+        return rng.randrange(p, 3 * p)
+    if kind == 2:
+        return rng.random() < 0.5
+    if kind == 3:
+        return Fraction(rng.randrange(-3 * p, 3 * p))
+    if kind == 4:
+        den = rng.choice([d for d in range(2, 10) if d % p])
+        return Fraction(rng.randrange(-9, 10), den)
+    if kind == 5:
+        return rng.choice((0, Fraction(0)))
+    if kind == 6:
+        return rng.randrange(-5, 6)
+    s = field.gen(0)
+    return field.zero if kind == 7 else Fraction(rng.randrange(-4, 5), 3) + rng.randrange(-3, 4) * s
+
+
+def _zero_inputs(field):
+    """Inputs that are zero in `field`: 0, False, Fraction(0), p and -2p over
+    F_p, and the tower's zero."""
+    zeros = [0, False, Fraction(0)]
+    if isinstance(field, PrimeField):
+        zeros += [field.p, -2 * field.p]
+    if isinstance(field, TowerSpec):
+        zeros += [field.zero]
+    return zeros
+
+
+@pytest.mark.parametrize("field", CONSTRUCTION_DOMAINS, ids=repr)
+def test_construction_and_coefficient_passes_match_the_dense_reference(field):
+    """Poly(field, coeffs) (bulk coercion, zero tests by truthiness) equals
+    one coerce call per coefficient with trailing zeros stripped, value and
+    type, on seeded mixed inputs with trailing zeros; the derivative, scalar
+    products and monic (which skip zero coefficients) equal their forms
+    over every coefficient."""
+    rng = random.Random(59)
+    zeros = _zero_inputs(field)
+    seen = set()
+    for _ in range(150):
+        cs = [_construction_input(field, rng) for _ in range(rng.randrange(0, 9))]
+        cs += rng.sample(zeros, rng.randrange(0, 3))
+        P = Poly(field, cs)
+        ref = construction_reference(field, cs)
+        assert P.coeffs == ref and list(map(type, P.coeffs)) == list(map(type, ref)), cs
+        seen.update(type(c).__name__ for c in cs)
+        assert P.derivative().coeffs == construction_reference(
+            field, [c * i for i, c in enumerate(P.coeffs)][1:]
+        ), P
+        for c in (0, 1, _construction_input(field, rng)):
+            c = field.coerce(c)
+            assert (P * c).coeffs == construction_reference(field, [a * c for a in P.coeffs]), (P, c)
+        if P:
+            inv = field.div(field.one, P.leading)
+            assert P.monic().coeffs == construction_reference(field, [a * inv for a in P.coeffs]), P
+    assert {"int", "bool", "Fraction"} <= seen
+    assert ("TowerElement" in seen) == isinstance(field, TowerSpec)
+
+
+def test_rational_roots_match_fraction_scaling():
+    """rational_roots (integer scaling numerator * (lcm // denominator)) gives
+    the roots found by scaling with Fraction products and testing every
+    candidate with dense Horner, on seeded products of linear factors with
+    non-integral coefficients, x^k factors included; the planted roots are
+    among them."""
+    rng = random.Random(61)
+    for _ in range(40):
+        planted = {Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)) for _ in range(rng.randrange(1, 4))}
+        f = qp(*([0] * rng.randrange(0, 3) + [Fraction(rng.randrange(1, 5), rng.randrange(1, 7))]))
+        for r in planted:
+            f = f * qp(-r, 1)
+        f = f * qp(Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)), Fraction(1, rng.randrange(1, 5)), 1)
+        cs = list(f.coeffs)
+        roots = {Fraction(0)} if cs[0] == 0 else set()
+        while cs[0] == 0:
+            cs.pop(0)
+        lcm = math.lcm(*(c.denominator for c in cs))
+        ics = [int(c * lcm) for c in cs]
+        candidates = {
+            sign * Fraction(num, den)
+            for num in small_divisors(ics[0]) for den in small_divisors(ics[-1]) for sign in (1, -1)
+        }
+        roots |= {r for r in candidates if horner_dense_reference(f, r) == 0}
+        assert rational_roots(f) == sorted(roots), f
+        assert planted <= roots, f
+
+
+@pytest.mark.parametrize("field", CONSTRUCTION_DOMAINS, ids=repr)
+def test_construction_refuses_exactly_what_coerce_refuses(field):
+    """Poly(field, [1, bad]) raises what field.coerce(bad) raises, same type
+    and message, falsy values included (none of them becomes a zero
+    coefficient): a p-adic denominator gives NonIntegralError over F_p, an
+    element of another tower ValueError over a tower, the rest TypeError."""
+    other = TowerSpec([("r", qp(-2, 0, 1))])
+    bads = [None, 0.0, "", 1.5, [], other.gen(0), other.zero]
+    if isinstance(field, PrimeField):
+        bads += [Fraction(1, field.p), Fraction(5, 2 * field.p)]
+    for bad in bads:
+        with pytest.raises(Exception) as want:
+            field.coerce(bad)
+        if isinstance(bad, Fraction):
+            assert want.type is NonIntegralError
+        elif isinstance(bad, TowerElement) and isinstance(field, TowerSpec):
+            assert want.type is ValueError
+        else:
+            assert want.type is TypeError
+        for cs in ([1, bad], [bad], [bad, 1]):
+            with pytest.raises(Exception) as got:
+                Poly(field, cs)
+            assert (got.type, str(got.value)) == (want.type, str(want.value)), (field, cs)
+
+
+def test_tower_elements_are_false_exactly_when_zero():
+    s = Q151.gen(0)
+    assert bool(Q151.zero) is False and bool(Q151.one) is True
+    assert bool(s - s) is False and bool(s) is True and bool(s * s - 151) is False
+    assert bool(Q151.rational(Fraction(1, 3))) is True and bool(Q151.rational(0)) is False

@@ -202,6 +202,25 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys, tmp_path):
         assert code == 0 and "usage:" in out, ok
 
 
+def test_count_and_sweep_refuse_place_and_height_ceiling(capsys, tmp_path, monkeypatch):
+    """`tpe count` and `tpe sweep cd` read no place and no ceiling, so either
+    flag is a usage error there (exit 3); `--json` and `--seed` stay, and a
+    bad TPE_HEIGHT_CEILING is still refused on both."""
+    curve = write(tmp_path, "curve.json", {"f": [7, 0, 0, 0, 0, 1]})
+    count = ["count", "--curve", curve, "--p", "11"]
+    sweep = ["sweep", "cd", "--range", "1..3"]
+    for argv in (count, sweep):
+        for flag in (["--place", "0"], ["--height-ceiling", "5"]):
+            code, out, err = run(capsys, argv + flag)
+            assert code == 3 and out == "" and "unrecognized arguments" in err, argv + flag
+        code, out, _ = run(capsys, argv + ["--json", "--seed", "4"])
+        assert code == 0 and out == run(capsys, argv + ["--json"])[1]
+        monkeypatch.setenv("TPE_HEIGHT_CEILING", "0")
+        code, _, err = run(capsys, argv)
+        assert code == 3 and "height ceiling" in err
+        monkeypatch.delenv("TPE_HEIGHT_CEILING")
+
+
 def test_sweep_command(capsys, tmp_path):
     out_path = tmp_path / "census.json"
     code, out, _ = run(

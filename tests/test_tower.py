@@ -1,6 +1,8 @@
 """Tower ring arithmetic, inversion, split places, and reduction maps."""
 
+import os
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,8 +10,14 @@ import pytest
 
 from conftest import qp
 from tpe.algebra import NonIntegralError, cyclotomic, discriminant
+from tpe.curve import CurvePoint, make_curve
+from tpe.docio import parse_document
+from tpe.envelope import verify_tpe
+from tpe.families import bundled_document_text
+from tpe.jacobian import CertifiedTorsion, torsion_decide
 from tpe.tower import (
     ResidueAssignment,
+    TowerElement,
     TowerSpec,
     ZeroDivisorError,
     reduce_element,
@@ -230,3 +238,27 @@ def test_invert_consistency_randomized():
         if a.is_zero:
             continue
         assert tower_invert(a) * a == t.one
+
+
+def test_only_polynomial_code_tests_tower_elements_for_truth(monkeypatch):
+    """A tower element is false exactly when zero, and that truth test is
+    asked only by the polynomial code in algebra.py.  A tower element was
+    always true before it had __bool__, so a truth test anywhere else in
+    the library would have changed meaning.  Recorded over the exact paths
+    that handle tower elements: verifying the bundled Q(sqrt 15) document
+    (a refutation) and deciding the order-5 class of (0, s) on
+    y^2 = x^5 + 20 over Q(s), s^2 = 20, at both places over 11."""
+    callers = Counter()
+
+    def recorded(self):
+        callers[os.path.basename(sys._getframe(1).f_code.co_filename)] += 1
+        return bool(self.coeffs)
+
+    monkeypatch.setattr(TowerElement, "__bool__", recorded)
+    assert not verify_tpe(parse_document(bundled_document_text("quadratic_sqrt15.json"))).all_passed
+    t20 = quad(20)
+    curve = make_curve(qp(20, 0, 0, 0, 0, 1))
+    point = CurvePoint.affine(t20.rational(0), t20.gen(0))
+    for place in split_places(t20, 11):
+        assert torsion_decide(point, curve, t20, 11, place) == CertifiedTorsion(5)
+    assert callers and set(callers) == {"algebra.py"}, callers
