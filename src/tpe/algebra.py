@@ -291,10 +291,6 @@ class Poly:
         return len(self.coeffs) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -340,7 +336,7 @@ class Poly:
             return Poly(self.field, [a * c if a else a for a in self.coeffs])
         if other.field != self.field:
             raise ValueError("coefficient domain mismatch")
-        if self.is_zero or other.is_zero:
+        if not self.coeffs or not other.coeffs:
             return Poly(self.field)
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         if other is self:
@@ -376,18 +372,20 @@ class Poly:
             return other
         return Poly.const(self.field, self.field.coerce(other))
 
-    def __divmod__(self, other):
-        """(quotient, remainder) by long division.  The divisor's nonzero
-        terms below its leading one are listed once, and each quotient step
-        updates the remainder at those terms only, so a step costs the
-        divisor's nonzero terms, not its degree."""
+    def _divide(self, other) -> tuple[list, list]:
+        """The coefficient lists (quotient, remainder) of long division, not
+        yet coerced; the quotient list is empty exactly when
+        deg self < deg other, and the remainder is then self's own tuple.
+        The divisor's nonzero terms below its leading one are listed once,
+        and each quotient step updates the remainder at those terms only, so
+        a step costs the divisor's nonzero terms, not its degree."""
         other = self._as_poly(other)
-        if other.is_zero:
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         field = self.field
         dq = len(self.coeffs) - len(other.coeffs)
         if dq < 0:
-            return Poly(field), self
+            return [], self.coeffs
         cs = other.coeffs
         n = len(cs) - 1
         lead = cs[n]
@@ -405,22 +403,30 @@ class Poly:
             for j, b in terms:
                 rem[i + j] = rem[i + j] - c * b
         del rem[n:]
-        return Poly(field, quo), Poly(field, rem)
+        return quo, rem
+
+    def __divmod__(self, other):
+        """(quotient, remainder) by long division (`_divide`)."""
+        quo, rem = self._divide(other)
+        return Poly(self.field, quo), (Poly(self.field, rem) if quo else self)
 
     def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return Poly(self.field, self._divide(other)[0])
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        quo, rem = self._divide(other)
+        return Poly(self.field, rem) if quo else self
 
     def exact_div(self, other) -> "Poly":
-        q, r = divmod(self, other)
-        if not r.is_zero:
+        """The quotient, when the remainder is zero; the remainder's
+        coefficients are tested without building a Poly from them."""
+        quo, rem = self._divide(other)
+        if any(self.field.coerce_all(rem)):
             raise ValueError("division is not exact")
-        return q
+        return Poly(self.field, quo)
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        if not self.coeffs:
             return self
         field = self.field
         if self.leading == field.one:
@@ -434,30 +440,30 @@ class Poly:
     def gcd(self, other) -> "Poly":
         """Monic greatest common divisor (Euclid)."""
         a, b = self, self._as_poly(other)
-        while not b.is_zero:
+        while b:
             a, b = b, a % b
         return a.monic()
 
     def xgcd(self, other):
-        """(g, s, t) with g = s*self + t*other and g monic (or zero).
+        """(g, s) with g = gcd(self, other), monic (or zero), and
+        g = s*self mod other.  The cofactor of `other` is not built: where it
+        is needed, it is (g - s*self).exact_div(other).
 
         A nonzero constant remainder ends the chain: the gcd is 1, and its
-        cofactors are the current ones over that constant."""
+        cofactor is the current one over that constant."""
         field = self.field
         a, b = self, self._as_poly(other)
         s0, s1 = Poly.const(field, field.one), Poly(field)
-        t0, t1 = Poly(field), Poly.const(field, field.one)
         while b.degree > 0:
             q, r = divmod(a, b)
             a, b = b, r
             s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if not b.is_zero:
-            a, s0, t0 = b, s1, t1
-        if a.is_zero:
-            return a, s0, t0
+        if b:
+            a, s0 = b, s1
+        if not a:
+            return a, s0
         inv = field.div(field.one, a.leading)
-        return a * inv, s0 * inv, t0 * inv
+        return a * inv, s0 * inv
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         """self^e mod `mod`, by square-and-multiply."""
@@ -510,7 +516,7 @@ class Poly:
 
 def poly_str(f: Poly, var: str = "x") -> str:
     """Human-readable rendering, highest degree first."""
-    if f.is_zero:
+    if not f:
         return "0"
     parts = []
     for i in range(f.degree, -1, -1):
@@ -541,14 +547,14 @@ def resultant(f: Poly, g: Poly):
     if f.field != g.field:
         raise ValueError("coefficient domain mismatch")
     field = f.field
-    if f.is_zero or g.is_zero:
+    if not f or not g:
         return field.zero
     res = field.one
     sign = 1
     a, b = f, g
     while b.degree > 0:
         r = a % b
-        if r.is_zero:
+        if not r:
             return field.zero
         if (a.degree * b.degree) % 2 == 1:
             sign = -sign
@@ -574,7 +580,7 @@ def discriminant(f: Poly):
 
 def is_squarefree(f: Poly) -> bool:
     """True iff gcd(f, f') is constant; f must be nonzero."""
-    if f.is_zero:
+    if not f:
         raise ValueError("zero polynomial")
     if f.degree == 0:
         return True
@@ -667,7 +673,7 @@ def rational_roots(f: Poly) -> list[Fraction]:
     """All rational roots of f in Q[x], by the rational-root bound."""
     if f.field != QQ:
         raise TypeError("rational_roots expects a polynomial over Q")
-    if f.is_zero:
+    if not f:
         raise ValueError("zero polynomial")
     roots = []
     cs = list(f.coeffs)

@@ -189,7 +189,7 @@ def is_weierstrass(point: CurvePoint, curve: HyperellipticCurve) -> bool:
         if curve.odd_model:
             raise ValueError("even-model infinity on an odd-model curve")
         return False
-    return point.y.is_zero
+    return point.y == point.y.tower.zero
 
 
 @dataclass(frozen=True)

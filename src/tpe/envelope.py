@@ -351,7 +351,7 @@ def _verify_family(
     h, curve = entry.h, doc.curve
     if h.degree < 1:
         return EntryResult(index, kind, False, "family polynomial must be nonconstant")
-    if not (curve.f % h).is_zero:  # f is squarefree (make_curve), so h is too
+    if curve.f % h:  # f is squarefree (make_curve), so h is too
         return EntryResult(index, kind, False, "h does not divide f")
     if refusal := _weierstrass_base_refusal(doc, index, kind):
         return refusal

@@ -10,22 +10,25 @@ curve and asks the curve module for facts about C: #C(F_p), and with it the
 refusal of bad reduction, is `count_points_mod_p`.
 
 Addition is one Cantor composition that skips the steps whose outcome is
-known and lifts v with small polynomials (a Garner CRT lift for coprime
-u's, a Hensel lift for doublings off the Weierstrass points).  A Hensel
-doubling takes its first reduction step from the lift's pieces,
-(f - v^2)/u^2 = (w - 2 v1 t)/u1 - t^2 for v = v1 + u1 t and
-w = (f - v1^2)/u1, so f - v^2 is never formed at full height; the reduced
-pair is unchanged, since a reduced (u, v) is unique.  Multiplication is
-double-and-add from the highest bit, so it only ever adds D itself to a
-large class.  The order of a class over F_p is a baby-step giant-step
-search over the interval for #J(F_p) narrowed by #C(F_p): a table of +-j*D
-for j < s, giant steps of stride 2s - 1, and the order recovered from the
-multiple found with a product tree over its primes.  The exact torsion
-check decides n*D = 0 from B = floor(n/2)*D alone: B = -B for even n, and
-for odd n B + D = -B, tested as 2B + D being the divisor of y - V for the
-V of the composition of B and D.  So its height ceiling bounds B and the
-binary prefixes of floor(n/2) built on the way, about a quarter of the
-bits of n*D.
+known, reads one cofactor from each xgcd and lifts v with small
+polynomials (a Garner CRT lift for coprime u's, a Hensel lift for
+doublings off the Weierstrass points); negation is (u, -v), already
+reduced.  A Hensel doubling takes its first reduction step from the
+lift's pieces, (f - v^2)/u^2 = (w - 2 v1 t)/u1 - t^2 for v = v1 + u1 t
+and w = (f - v1^2)/u1, so f - v^2 is never formed at full height; the
+reduced pair is unchanged, since a reduced (u, v) is unique.
+Multiplication is double-and-add from the highest bit, so it only ever
+adds D itself to a large class.  The order of a class over F_p is a
+baby-step giant-step search over the interval for #J(F_p) narrowed by
+#C(F_p): a table of +-j*D for j < s, giant steps of stride 2s - 1, a
+second match when a smaller multiple can still follow the first, and the
+order recovered from the multiple found with a product tree over its
+primes whose multiples of D come from the search's own tables.  The
+exact torsion check decides n*D = 0 from B = floor(n/2)*D alone: B = -B
+for even n, and for odd n B + D = -B, tested as 2B + D being the divisor
+of y - V for the V of the composition of B and D.  So its height ceiling
+bounds B and the binary prefixes of floor(n/2) built on the way, about a
+quarter of the bits of n*D.
 
 Everything is pure and immutable, except that a Jacobian over F_p caches
 #C(F_p) on first use (two threads may both count it, with one result); an
@@ -40,9 +43,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
-from tpe.algebra import QQ, NonIntegralError, Poly, PrimeField
+from tpe.algebra import QQ, NonIntegralError, Poly, PrimeField, small_divisors
 from tpe.curve import (
     AFFINE,
     CurvePoint,
@@ -171,24 +174,26 @@ class Jacobian:
         return D
 
     def on_jacobian(self, D: MumfordDivisor) -> bool:
-        if D.u.is_zero or D.u.leading != self.field.one:
+        if not D.u or D.u.leading != self.field.one:
             return False
-        if not D.v.is_zero and D.v.degree >= D.u.degree:
+        if D.v and D.v.degree >= D.u.degree:
             return False
-        return ((D.v * D.v - self.f) % D.u).is_zero
+        return not (D.v * D.v - self.f) % D.u
 
     def neg(self, D: MumfordDivisor) -> MumfordDivisor:
-        return MumfordDivisor(D.u, (-D.v) % D.u)
+        """-D = (u, -v): -v needs no reduction mod u, since deg v < deg u."""
+        return MumfordDivisor(D.u, -D.v)
 
     def add(self, D1: MumfordDivisor, D2: MumfordDivisor) -> MumfordDivisor:
         """Cantor composition followed by reduction to deg u <= g.
 
-        Composition skips the steps whose result is known in advance and
-        lifts v with the smallest polynomials that give it.  A doubling takes
-        (d1, e1, e2) = (u1, 0, 1), which is what u1.xgcd(u1) returns for a
-        monic u1.  When u1 and u2 are coprime (d1 = 1, the generic sum) the
-        second xgcd and the s3 term (multiplied by 0) go: v is the CRT lift
-        of v1 mod u1 and v2 mod u2 in Garner form,
+        Composition reads one cofactor from each xgcd (`Poly.xgcd` gives
+        (g, s) with g = s*self mod other), skips the steps whose result is
+        known in advance and lifts v with the smallest polynomials that give
+        it.  A doubling takes d1 = u1 and e1 = 0, which is what u1.xgcd(u1)
+        returns for a monic u1.  When u1 and u2 are coprime (d1 = 1, the
+        generic sum) the second xgcd and the s3 term (multiplied by 0) go:
+        v is the CRT lift of v1 mod u1 and v2 mod u2 in Garner form,
         v1 + u1 ((v2 - v1) e1 mod u2).  A doubling with gcd(u, 2v) = 1 (no
         Weierstrass point in the support) is a Hensel lift: with
         c = (2v)^-1 mod u, w = (f - v^2)/u and t = c w mod u,
@@ -197,21 +202,26 @@ class Jacobian:
         monic((f - v'^2)/u^2) is monic((w - 2 v t)/u - t^2), so f - v'^2 is
         never formed, and -v' mod u'' follows; any further step (genus >= 3)
         runs the usual reduction loop.  Every other case runs the full
-        composition, never dividing by a d of 1.  A reduced (u, v) is
-        unique, so the sum is the one full Cantor gives.
+        composition in terms of the cofactors at hand: with
+        e1 u1 + e2 u2 = d1 and c1 d1 + c2 (v1 + v2) = d, Cantor's
+        c1 e1 u1 v2 + c1 e2 u2 v1 + c2 (v1 v2 + f) is
+        d v1 + c2 (f - v1^2) + c1 e1 u1 (v2 - v1), so e2 is never built and
+        c1 = (d - c2 (v1 + v2))/d1 only when e1 != 0; it never divides by a
+        d of 1.  A reduced (u, v) is unique, so the sum is the one full
+        Cantor gives.
         """
         u1, v1 = D1.u, D1.v
         u2, v2 = D2.u, D2.v
         doubling = D1 == D2
         if doubling:
-            d1, e1, e2 = u1, Poly(self.field), Poly.const(self.field, self.field.one)
+            d1, e1 = u1, Poly(self.field)
         else:
-            d1, e1, e2 = u1.xgcd(u2)
+            d1, e1 = u1.xgcd(u2)
         if d1.degree == 0:
             u = u1 * u2
             v = v1 + u1 * ((v2 - v1) * e1 % u2)
         else:
-            d, c1, c2 = d1.xgcd(v1 + v2)
+            d, c2 = (v1 + v2).xgcd(d1)
             if doubling and d.degree == 0:
                 w = (self.f - v1 * v1).exact_div(u1)
                 t = c2 * w % u1
@@ -224,8 +234,10 @@ class Jacobian:
                     u = ((w - v1 * t * 2).exact_div(u1) - t * t).monic()
                     v = (-v) % u
             else:
-                s1, s2, s3 = c1 * e1, c1 * e2, c2
-                mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (v1 * v2 + self.f)
+                mixed = d * v1 + c2 * (self.f - v1 * v1)
+                if e1:
+                    c1 = (d - c2 * (v1 + v2)).exact_div(d1)
+                    mixed = mixed + c1 * e1 * u1 * (v2 - v1)
                 if d.degree == 0:
                     u = u1 * u2
                 else:
@@ -328,9 +340,19 @@ def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
     addition; +j wins a collision), so each giant step g*D covers the
     2s - 1 multiples g - s < m < g + s.  Giant steps run at multiples of
     the stride t = 2s - 1 from q0*t, q0 = (lo + s - 1) // t, the first
-    whose window reaches lo, and the first match gives m > 0 with m*D = 0.
-    The order is recovered from m's prime powers with a product tree
-    (Sutherland 2007).  Finding no m means the inputs were inconsistent.
+    whose window reaches lo, and the first match gives m1 > 0 with
+    m1*D = 0.  No multiple lies below m1 in the windows walked, so the
+    order is a divisor d of m1 with d >= s and d > m1 - (the first
+    window's start).  While such a d with m1 + d inside the scanned range
+    can still be the order, the walk goes on: a second match m2 hands
+    gcd(m1, m2) to the recovery instead of m1, and a walk past every such
+    m1 + d (or no such d at all) leaves m1.  The order is recovered from
+    the multiple's prime powers with a product tree (Sutherland 2007),
+    which reads the multiples k*D it needs off the tables:
+    k*D = q*(t*D) + r*D for k = q*t + r with |r| < s.  A match is an
+    exact equality of reduced pairs, so every multiple found is exact and
+    the tree returns the exact order from any of them.  Finding no m1
+    means the inputs were inconsistent.
     """
     if not isinstance(jac.field, PrimeField):
         raise TypeError("divisor_order runs over a prime field")
@@ -338,24 +360,50 @@ def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
     s = math.isqrt((hi - lo + 1) // 2) + 1
     zero = jac.identity
     baby = {zero: 0}
-    prev, acc = zero, D
+    multiples = [zero, D]  # j*D for j <= s
     for j in range(1, s):
+        acc = multiples[j]
         if acc == zero:
             return j
         baby[acc] = j
         baby.setdefault(jac.neg(acc), -j)
-        prev, acc = acc, jac.add(acc, D)
-    # the order is at least s, so the +j entries are distinct; acc = s*D
+        multiples.append(jac.add(acc, D))
+    # the order is at least s, so the +j entries are distinct
     t = 2 * s - 1
-    step = jac.add(acc, prev)
+    step = jac.add(multiples[s], multiples[s - 1])
+
+    def times(k: int) -> MumfordDivisor:
+        q, r = divmod(k + s - 1, t)
+        r -= s - 1
+        small = multiples[r] if r >= 0 else jac.neg(multiples[-r])
+        if q == 0:
+            return small
+        big = jac.mul(q, step)
+        return big if r == 0 else jac.add(big, small)
+
     q0 = (lo + s - 1) // t
+    giants = range(q0 * t, hi + s, t)
+    first, last = giants[0] - s + 1, giants[-1] + s - 1  # the scanned range
     giant = jac.mul(q0, step)
-    for g in range(q0 * t, hi + s, t):
+    m = None  # the first multiple found, then its gcd with a second one
+    for g in giants:
         j = baby.get(giant)
         if j is not None and g > j:
-            return _order_dividing(jac, D, _prime_powers(g - j))
+            if m is not None:
+                m = math.gcd(m, g - j)
+                break
+            m = g - j
+            # the order is a divisor d of m with d >= s and d > m - first
+            # (no multiple in the windows before); one with m + d <= last
+            # can still show as a second match
+            low = max(s, m - first + 1)
+            reach = m + max((d for d in small_divisors(m) if low <= d <= last - m), default=0)
+        if m is not None and g + s > reach:
+            break  # the next window starts past m + d for every such d
         giant = jac.add(giant, step)
-    raise RuntimeError("order search exceeded the class-group bound")
+    if m is None:
+        raise RuntimeError("order search exceeded the class-group bound")
+    return _order_dividing(jac, D, _prime_powers(m), times)
 
 
 def _prime_powers(m: int) -> list[tuple[int, int]]:
@@ -375,25 +423,33 @@ def _prime_powers(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _order_dividing(jac: Jacobian, D: MumfordDivisor, factors: list[tuple[int, int]]) -> int:
+def _order_dividing(
+    jac: Jacobian, D: MumfordDivisor, factors: list[tuple[int, int]], times=None
+) -> int:
     """Order of D, given that it divides the product of q^e over `factors`.
 
     A product tree: D times the right half's product has the left half's
     part of the order, and the other way round.  At one prime the order is
-    q^k for the first k with q^k*D = 0, and q^e when no k < e gives 0."""
+    q^k for the first k with q^k*D = 0, and q^e when no k < e gives 0.
+    times(k) gives k*D: `divisor_order` passes one that reads the multiples
+    of its own class off its tables, and the classes inside the tree are
+    multiplied with `Jacobian.mul`."""
     if D == jac.identity:
         return 1
+    if times is None:
+        times = partial(jac.mul, D=D)
     if len(factors) == 1:
         (q, e), = factors
         for k in range(1, e):
-            D = jac.mul(q, D)
+            D = times(q)
             if D == jac.identity:
                 return q**k
+            times = partial(jac.mul, D=D)
         return q**e
     half = len(factors) // 2
     left, right = factors[:half], factors[half:]
-    return _order_dividing(jac, jac.mul(_product(right), D), left) * _order_dividing(
-        jac, jac.mul(_product(left), D), right
+    return _order_dividing(jac, times(_product(right)), left) * _order_dividing(
+        jac, times(_product(left)), right
     )
 
 

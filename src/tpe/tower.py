@@ -184,10 +184,6 @@ class TowerElement:
         self.tower = tower
         self.coeffs = coeffs
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -330,7 +326,7 @@ def tower_invert(a: TowerElement) -> TowerElement:
     than silently mis-handled.
     """
     tower = a.tower
-    if a.is_zero:
+    if not a.coeffs:
         raise ZeroDivisionError("inverting zero")
     if tower.k == 0:
         return tower.rational(1 / a.coeffs[()])
@@ -342,7 +338,7 @@ def tower_invert(a: TowerElement) -> TowerElement:
     for (e,), c in a.coeffs.items():
         vec[e] = c
     rep = Poly.over_q(vec)
-    g, s, _ = rep.xgcd(relation)
+    g, s = rep.xgcd(relation)
     if g.degree > 0:
         raise ZeroDivisorError(
             f"zero divisor: gcd with relation has degree {g.degree}"

@@ -6,6 +6,7 @@ plain-int brute-force point counts and roots, enumeration square roots,
 Cantor's full composition and reduction with squares taken as general products,
 double-and-add from the lowest set bit, linear order scans, baby-step
 giant-step over the generic Hasse-Weil interval and over the narrowed one,
+the narrowed search recovering from its first match with plain `mul`,
 enumerated Jacobian orders, the exact n*D = 0 built in full,
 B + D = -B by building B + D, and the two-pass Weierstrass family check)."""
 
@@ -99,7 +100,7 @@ def divmod_dense_reference(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """(quotient, remainder) by long division that updates the remainder at
     every coefficient of b, the leading one and zero ones included."""
     field = a.field
-    if b.is_zero:
+    if not b:
         raise ZeroDivisionError("polynomial division by zero")
     dq = a.degree - b.degree
     if dq < 0:
@@ -185,12 +186,15 @@ def _times(a: Poly, b: Poly) -> Poly:
 
 def cantor_compose_reference(jac: Jacobian, D1, D2):
     """The unreduced (u, v) of Cantor's composition with every step spelled
-    out: two xgcds, the s3 term and both exact divisions by d, whatever d
-    is."""
+    out: two xgcds, each second cofactor from its Bezout identity, the s3
+    term and both exact divisions by d, whatever d is."""
     u1, v1 = D1.u, D1.v
     u2, v2 = D2.u, D2.v
-    d1, e1, e2 = u1.xgcd(u2)
-    d, c1, c2 = d1.xgcd(v1 + v2)
+    d1, e1 = u1.xgcd(u2)
+    e2 = (d1 - e1 * u1).exact_div(u2)
+    w = v1 + v2
+    d, c1 = d1.xgcd(w)
+    c2 = (d - c1 * d1).exact_div(w) if w else Poly(d.field)
     s1, s2, s3 = c1 * e1, c1 * e2, c2
     u = _times(u1, u2).exact_div(_times(d, d))
     mixed = s1 * u1 * v2 + s2 * u2 * v1 + s3 * (_times(v1, v2) + jac.f)
@@ -318,6 +322,79 @@ def narrowed_order(jac: Jacobian, D) -> int:
     return order
 
 
+def first_match_reference(jac: Jacobian, D) -> dict:
+    """The order search as it stood before the second match: baby steps
+    j*D for j < s = isqrt((hi - lo + 1) // 2) + 1 over the interval narrowed
+    by #C(F_p), a table of +-j*D (+j wins a collision) and giant steps of
+    stride t = 2s - 1 from q0*t, q0 = (lo + s - 1) // t.  Returns s, the
+    start `first` and end `last` of the range the giant windows scan, and
+    either the order found by the baby steps ("order") or the first
+    multiple m1 a giant step matches ("m1")."""
+    lo, hi = class_group_interval_from_count(jac.field.p, jac.genus, jac.curve_point_count)
+    s = math.isqrt((hi - lo + 1) // 2) + 1
+    t = 2 * s - 1
+    q0 = (lo + s - 1) // t
+    giants = range(q0 * t, hi + s, t)
+    out = {"s": s, "first": giants[0] - s + 1, "last": giants[-1] + s - 1}
+    zero = jac.identity
+    baby = {zero: 0}
+    prev, acc = zero, D
+    for j in range(1, s):
+        if acc == zero:
+            return {**out, "order": j}
+        baby[acc] = j
+        baby.setdefault(jac.neg(acc), -j)
+        prev, acc = acc, jac.add(acc, D)
+    step = jac.add(acc, prev)
+    giant = jac.mul(q0, step)
+    for g in giants:
+        j = baby.get(giant)
+        if j is not None and g > j:
+            return {**out, "m1": g - j}
+        giant = jac.add(giant, step)
+    raise AssertionError("no multiple of the order within the narrowed interval")
+
+
+def order_dividing_reference(jac: Jacobian, D, m: int) -> int:
+    """Order of D from a multiple m of it, by the product tree over the
+    prime powers of m with every multiple built by plain `Jacobian.mul`."""
+    factors = []
+    for q in filter(is_prime, small_divisors(m)):
+        e = 0
+        while m % q**(e + 1) == 0:
+            e += 1
+        factors.append((q, e))
+
+    def tree(E, factors):
+        if E == jac.identity:
+            return 1
+        if len(factors) == 1:
+            (q, e), = factors
+            for k in range(1, e):
+                E = jac.mul(q, E)
+                if E == jac.identity:
+                    return q**k
+            return q**e
+        half = len(factors) // 2
+        left, right = factors[:half], factors[half:]
+        right_part = math.prod(q**e for q, e in right)
+        left_part = math.prod(q**e for q, e in left)
+        return tree(jac.mul(right_part, E), left) * tree(jac.mul(left_part, E), right)
+
+    return tree(D, factors)
+
+
+def divisor_order_reference(jac: Jacobian, D) -> int:
+    """The order search that took the second match and the table
+    multiples: the first giant-step match (`first_match_reference`), then
+    the product tree on m1 with plain `Jacobian.mul`
+    (`order_dividing_reference`)."""
+    found = first_match_reference(jac, D)
+    if "order" in found:
+        return found["order"]
+    return order_dividing_reference(jac, D, found["m1"])
+
+
 def mumford_classes(f: list[int], p: int, genus: int) -> list[tuple[list[int], list[int]]]:
     """Every element of J(F_p) for y^2 = f(x) of odd degree, as the reduced
     Mumford pairs (u, v): u monic with deg u <= genus, deg v < deg u and
@@ -360,7 +437,7 @@ def two_pass_family_check(h: Poly, doc) -> tuple[bool, str, tuple]:
     curve = doc.curve
     if h.degree < 1:
         return False, "family polynomial must be nonconstant", ()
-    if not (curve.f % h).is_zero:
+    if curve.f % h:
         return False, "h does not divide f", ()
     if curve.odd_model and not is_weierstrass(doc.base_point, curve):
         return False, "odd-model Weierstrass certificate needs a Weierstrass base point", ()

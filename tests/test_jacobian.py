@@ -3,6 +3,7 @@ and reduction compatibility."""
 
 import importlib.util
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -16,7 +17,9 @@ from conftest import (
     brute_force_count,
     cantor_add_reference,
     cantor_compose_reference,
+    divisor_order_reference,
     exact_multiple_is_zero,
+    first_match_reference,
     hasse_weil_order,
     linear_order,
     mul_from_lowest_bit,
@@ -59,6 +62,7 @@ from tpe.jacobian import (
     torsion_decide,
 )
 from tpe.tower import ResidueAssignment, TowerElement, TowerSpec, split_places
+import tpe.jacobian as jacobian_module
 
 C9 = make_curve(qp(9, 0, 0, 0, 0, 1))
 C1 = make_curve(qp(1, 0, 0, 0, 0, 1))
@@ -372,7 +376,7 @@ def test_add_matches_full_cantor_on_every_pair(genus, p):
     for f in curves:
         jac = Jacobian.over_prime_field(make_curve(qp(*f), allow_low_genus=True), p)
         pool = _enumerated(jac, f, genus)
-        if any(D.u.degree and D.v.is_zero for D in pool):
+        if any(D.u.degree and not D.v for D in pool):
             expected.add("weierstrass double")
         for D1 in pool:
             for D2 in pool:
@@ -566,6 +570,99 @@ def test_divisor_order_matches_oracle_order_searches(genus):
             if sum(map(is_prime, small_divisors(n))) >= 3:
                 seen.add("three primes")
     assert seen == {"collision", "three primes", "width 1" if genus == 1 else "lo = 0"}
+
+
+def test_divisor_order_matches_the_first_match_search(monkeypatch):
+    """divisor_order equals the search that recovers from its first match
+    with plain `mul` (`divisor_order_reference`), and at p <= 13 the linear
+    scan, on seeded classes: genus 2 at p = 7, 11, 13, 101, genus 3 at
+    p = 7, 19, the quintic's (-1, 1) at every good p from 7 to 31 and four
+    more of its classes at p = 31, the identity, 2-torsion classes and a
+    class of order below s.  With n the order, m1 the first match and C
+    the divisors d of m1 with d >= s, d > m1 - first and m1 + d <= last,
+    the search takes a second match exactly when n is in C.  Each branch
+    runs: a return in the baby steps, no candidate (C empty), a second
+    match, a walk that ends without one (C not empty, n not in C), and a
+    multiple k*D read off the tables as q*(t*D) + r*D with r < 0; every
+    such multiple equals `mul`'s."""
+    roots = []  # (multiple handed to the tree, [k of each table multiple])
+
+    def spy(jac, D, factors, times=None):
+        if times is not None:  # the root: D is the searched class
+            ks = []
+
+            def checked(k):
+                E = times(k)
+                assert E == jac.mul(k, D), k
+                ks.append(k)
+                return E
+
+            roots.append((math.prod(q**e for q, e in factors), ks))
+            return order_dividing(jac, D, factors, checked)
+        return order_dividing(jac, D, factors)
+
+    order_dividing = jacobian_module._order_dividing
+    monkeypatch.setattr(jacobian_module, "_order_dividing", spy)
+    rng = random.Random(107)
+    cases = []
+    for genus, primes in ((2, (7, 11, 13, 101)), (3, (7, 19))):
+        f = ORACLE_CURVES[genus]
+        for p in primes:
+            jac = _oracle_jacobian(genus, p)
+            roots_f = [a for a in range(p) if sum(c * a**i for i, c in enumerate(f)) % p == 0]
+            classes = [jac.identity] + [jac.embed(ReducedPoint("affine", x=a, y=0)) for a in roots_f]
+            classes += [random_reduced_class(jac, rng) for _ in range(6)]
+            cases += [(jac, D) for D in classes]
+    for p in range(7, 32):
+        if is_prime(p) and has_good_reduction(QUINTIC, p):
+            jac = Jacobian.over_prime_field(QUINTIC, p)
+            cases.append((jac, jac.embed(reduce_point(QUINTIC_POINT, QUINTIC, split_places(QTRIV, p)[0]))))
+    # at p = 31 most classes have an order whose next multiple leaves the range
+    cases += [(jac, random_reduced_class(jac, rng)) for _ in range(4)]
+    seen = set()
+    small_order_added = False
+    for jac, D in list(cases):
+        n = divisor_order(jac, D)
+        found = first_match_reference(jac, D)
+        s = found["s"]
+        if not small_order_added and n >= s:
+            d = next((d for d in small_divisors(n) if 2 < d < s), None)
+            if d is not None:
+                cases.append((jac, jac.mul(n // d, D)))
+                small_order_added = True
+    orders = set()
+    for jac, D in cases:
+        roots.clear()
+        n = divisor_order(jac, D)
+        assert n == divisor_order_reference(jac, D), (jac.field, D)
+        orders.add(n)
+        if jac.field.p <= 13:
+            assert n == linear_order(jac, D), (jac.field, D)
+        found = first_match_reference(jac, D)
+        s, first, last = found["s"], found["first"], found["last"]
+        if n < s:
+            assert found["order"] == n and not roots
+            seen.add("baby steps")
+            continue
+        m1 = found["m1"]
+        C = [d for d in small_divisors(m1) if d >= s and d > m1 - first and m1 + d <= last]
+        (m, ks), = roots
+        if n in C:
+            seen.add("second match")
+            assert m1 % m == 0 and m % n == 0, (m1, m, n)
+            if m < m1:
+                seen.add("smaller multiple")
+        else:
+            seen.add("walk without a second match" if C else "no candidate")
+            assert m == m1, (m1, m, n)
+        t = 2 * s - 1
+        if any(k >= s and (k + s - 1) % t < s - 1 for k in ks):
+            seen.add("r < 0")
+    assert small_order_added and {1, 2} <= orders
+    assert seen == {
+        "baby steps", "no candidate", "second match", "smaller multiple",
+        "walk without a second match", "r < 0",
+    }, seen
 
 
 def _points_and_sums_over(tower: TowerSpec):
@@ -998,6 +1095,25 @@ def test_neg_is_involution_negation():
     D = jac.embed(ReducedPoint("affine", x=0, y=3))
     E = jac.embed(ReducedPoint("affine", x=0, y=8))  # (0, -3)
     assert jac.neg(D) == E
+
+
+def test_neg_is_minus_v_reduced_mod_u_over_every_domain():
+    """neg(D) = (u, -v) equals (u, (-v) mod u), and D + neg(D) = 0, on
+    random reduced classes over F_p (genus 2 and 3) and on the point
+    classes and pairwise sums of `_points_and_sums_over` over Q and
+    Q(sqrt 151)."""
+    rng = random.Random(109)
+    pairs = []
+    for genus, p in ((2, 101), (3, 19)):
+        jac = _oracle_jacobian(genus, p)
+        pairs += [(jac, random_reduced_class(jac, rng)) for _ in range(20)]
+    for tower in (QTRIV, TowerSpec([("s", qp(-151, 0, 1))])):
+        jac, classes = _points_and_sums_over(tower)
+        pairs += [(jac, D) for D in classes]
+    assert {D.u.degree for _, D in pairs} >= {0, 1, 2}
+    for jac, D in pairs:
+        assert jac.neg(D) == MumfordDivisor(D.u, (-D.v) % D.u), D
+        assert jac.add(D, jac.neg(D)) == jac.identity
 
 
 @pytest.mark.parametrize(

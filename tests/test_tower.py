@@ -235,7 +235,7 @@ def test_invert_consistency_randomized():
     t = quad(7)
     for _ in range(200):
         a = t.element({(0,): rng.randrange(-9, 10), (1,): rng.randrange(-9, 10)})
-        if a.is_zero:
+        if not a:
             continue
         assert tower_invert(a) * a == t.one
 
