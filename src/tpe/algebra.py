@@ -373,37 +373,12 @@ class Poly:
         return Poly.const(self.field, self.field.coerce(other))
 
     def _divide(self, other) -> tuple[list, list]:
-        """The coefficient lists (quotient, remainder) of long division, not
-        yet coerced; the quotient list is empty exactly when
-        deg self < deg other, and the remainder is then self's own tuple.
-        The divisor's nonzero terms below its leading one are listed once,
-        and each quotient step updates the remainder at those terms only, so
-        a step costs the divisor's nonzero terms, not its degree."""
+        """The coefficient lists (quotient, remainder) of long division
+        (`_long_division`), not yet coerced."""
         other = self._as_poly(other)
         if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        field = self.field
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return [], self.coeffs
-        cs = other.coeffs
-        n = len(cs) - 1
-        lead = cs[n]
-        inv = None if lead == field.one else field.div(field.one, lead)
-        terms = [(j, b) for j, b in enumerate(cs) if b]
-        terms.pop()  # the leading term cancels rem[i + n] by construction
-        rem = list(self.coeffs)
-        quo = [field.zero] * (dq + 1)
-        for i in range(dq, -1, -1):
-            top = field.coerce(rem[i + n])
-            if not top:
-                continue
-            c = top if inv is None else field.coerce(top * inv)
-            quo[i] = c
-            for j, b in terms:
-                rem[i + j] = rem[i + j] - c * b
-        del rem[n:]
-        return quo, rem
+        return _long_division(self.field, self.coeffs, other.coeffs)
 
     def __divmod__(self, other):
         """(quotient, remainder) by long division (`_divide`)."""
@@ -450,20 +425,28 @@ class Poly:
         is needed, it is (g - s*self).exact_div(other).
 
         A nonzero constant remainder ends the chain: the gcd is 1, and its
-        cofactor is the current one over that constant."""
+        cofactor is the current one over that constant.  The remainders and
+        the cofactor stay coefficient lists, coerced and trimmed once a
+        step; only the returned pair is built as Polys."""
         field = self.field
-        a, b = self, self._as_poly(other)
-        s0, s1 = Poly.const(field, field.one), Poly(field)
-        while b.degree > 0:
-            q, r = divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, s0 - q * s1
+        zero = field.zero
+        a, b = self.coeffs, self._as_poly(other).coeffs
+        s0, s1 = [field.one], []
+        while len(b) > 1:
+            q, r = _long_division(field, a, b)
+            a, b = b, _trimmed(field.coerce_all(r))
+            s2 = s0 + [zero] * (len(q) + len(s1) - 1 - len(s0))
+            for i, c in enumerate(q):
+                if c:
+                    for j, e in enumerate(s1):
+                        s2[i + j] -= c * e
+            s0, s1 = s1, _trimmed(field.coerce_all(s2))
         if b:
             a, s0 = b, s1
         if not a:
-            return a, s0
-        inv = field.div(field.one, a.leading)
-        return a * inv, s0 * inv
+            return Poly(field), Poly(field, s0)
+        inv = field.div(field.one, a[-1])
+        return Poly(field, [c * inv for c in a]), Poly(field, [c * inv for c in s0])
 
     def pow_mod(self, e: int, mod: "Poly") -> "Poly":
         """self^e mod `mod`, by square-and-multiply."""
@@ -512,6 +495,43 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({poly_str(self)})"
+
+
+def _long_division(field, a, b) -> tuple[list, list]:
+    """The coefficient lists (quotient, remainder) of a / b for coefficient
+    sequences a and b over `field`, b with a nonzero leading entry; not yet
+    coerced.  The quotient list is empty exactly when len(a) < len(b), and
+    the remainder is then a itself.  The divisor's nonzero terms below its
+    leading one are listed once, and each quotient step updates the
+    remainder at those terms only, so a step costs the divisor's nonzero
+    terms, not its degree."""
+    dq = len(a) - len(b)
+    if dq < 0:
+        return [], a
+    n = len(b) - 1
+    lead = b[n]
+    inv = None if lead == field.one else field.div(field.one, lead)
+    terms = [(j, c) for j, c in enumerate(b) if c]
+    terms.pop()  # the leading term cancels rem[i + n] by construction
+    rem = list(a)
+    quo = [field.zero] * (dq + 1)
+    for i in range(dq, -1, -1):
+        top = field.coerce(rem[i + n])
+        if not top:
+            continue
+        c = top if inv is None else field.coerce(top * inv)
+        quo[i] = c
+        for j, e in terms:
+            rem[i + j] = rem[i + j] - c * e
+    del rem[n:]
+    return quo, rem
+
+
+def _trimmed(cs: list) -> list:
+    """cs without its trailing zeros (cs is changed in place)."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
 def poly_str(f: Poly, var: str = "x") -> str:

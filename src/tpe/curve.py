@@ -79,14 +79,17 @@ def make_curve(f: Poly, allow_low_genus: bool = False) -> HyperellipticCurve:
     )
 
 
-def _good_reduction(curve: HyperellipticCurve, p: int) -> Poly | None:
-    """f mod p if C has good reduction at p (`has_good_reduction`), else None."""
+def _good_reduction(curve: HyperellipticCurve, p: int) -> tuple[Poly, int] | None:
+    """(f mod p, disc(f mod p)) if C has good reduction at p
+    (`has_good_reduction`), else None."""
     try:
         fp = reduce_poly_mod_p(curve.f, p)
     except NonIntegralError:
         return None
-    if fp.degree == curve.degree and discriminant(fp) != 0:
-        return fp
+    if fp.degree == curve.degree:
+        disc = discriminant(fp)
+        if disc:
+            return fp, disc
     return None
 
 
@@ -104,22 +107,32 @@ def has_good_reduction(curve: HyperellipticCurve, p: int) -> bool:
 
 def count_points_mod_p(curve: HyperellipticCurve, p: int) -> int:
     """#C(F_p) of the reduced curve, including points at infinity; the one
-    point count (`Jacobian.curve_point_count` calls it).  Bad reduction is
-    refused with ValueError.
+    point count.  Bad reduction is refused with ValueError.
 
     Sum over x of 1 + legendre(f(x)) counts the affine points; the infinity
     contribution is 1 on odd models and 2 or 0 on even models according to
-    whether lc(f) is a square mod p.
+    whether lc(f) is a square mod p.  The same pass (`_point_count`) also
+    yields the number of roots of f mod p, the x with f(x) = 0, and the
+    good-reduction test yields disc(f mod p); `Jacobian` reads all three
+    from that one pass.
     """
-    fp = _good_reduction(curve, p)
-    if fp is None:
+    return _point_count(curve, p)[0]
+
+
+def _point_count(curve: HyperellipticCurve, p: int) -> tuple[int, int, int]:
+    """(#C(F_p), the number of roots of f mod p, disc(f mod p)) from one pass
+    over the values of f mod p (`count_points_mod_p`)."""
+    good = _good_reduction(curve, p)
+    if good is None:
         raise ValueError(f"bad reduction at {p}")
-    total = sum(1 + legendre_symbol(v, p) for v in values_mod_p(fp, range(p)))
+    fp, disc = good
+    symbols = [legendre_symbol(v, p) for v in values_mod_p(fp, range(p))]
+    total = p + sum(symbols)
     if curve.odd_model:
         total += 1
     else:
         total += 2 if legendre_symbol(fp.leading, p) == 1 else 0
-    return total
+    return total, symbols.count(0), disc
 
 
 @dataclass(frozen=True)

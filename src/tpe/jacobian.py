@@ -7,7 +7,8 @@ plain Fractions, also for the tower with no generator) and over a
 single-generator number field; exact runs guard against coefficient
 blow-up with a configurable digit ceiling.  A Jacobian is built from its
 curve and asks the curve module for facts about C: #C(F_p), and with it the
-refusal of bad reduction, is `count_points_mod_p`.
+refusal of bad reduction, comes from the pass of `count_points_mod_p`,
+which also yields the number of roots of f mod p and disc(f mod p).
 
 Addition is one Cantor composition that skips the steps whose outcome is
 known, reads one cofactor from each xgcd and lifts v with small
@@ -20,10 +21,15 @@ reduced pair is unchanged, since a reduced (u, v) is unique.
 Multiplication is double-and-add from the highest bit, so it only ever
 adds D itself to a large class.  The order of a class over F_p is a
 baby-step giant-step search over the interval for #J(F_p) narrowed by
-#C(F_p): a table of +-j*D for j < s, giant steps of stride 2s - 1, a
-second match when a smaller multiple can still follow the first, and the
-order recovered from the multiple found with a product tree over its
-primes whose multiples of D come from the search's own tables.  The
+#C(F_p), in the class #J(F_p) = c mod M that J(F_p)[2] fixes: it has
+order 2^(r - 1) for the r irreducible factors of f mod p (Cornelissen
+2001), and the roots of f mod p with the quadratic character of its
+discriminant (Stickelberger; Swan 1962) usually fix r.  The search runs
+on E = M*D: a table of +-j*E for j < s, giant steps c*D + g*E of stride
+2s - 1, a second match when a smaller multiple in the class can still
+follow the first, and the order recovered from the multiple found with a
+product tree over its primes whose multiples come from the search's own
+tables (of E, plus the doubling chain from D to E when c = 0).  The
 exact torsion check decides n*D = 0 from B = floor(n/2)*D alone: B = -B
 for even n, and for odd n B + D = -B, tested as 2B + D being the divisor
 of y - V for the V of the composition of B and D.  So its height ceiling
@@ -31,9 +37,9 @@ bounds B and the binary prefixes of floor(n/2) built on the way, about a
 quarter of the bits of n*D.
 
 Everything is pure and immutable, except that a Jacobian over F_p caches
-#C(F_p) on first use (two threads may both count it, with one result); an
-order search over F_p is internally sequential, but independent torsion
-decisions can run concurrently.
+#C(F_p) and the class of #J(F_p) on first use (two threads may both count
+them, with one result); an order search over F_p is internally
+sequential, but independent torsion decisions can run concurrently.
 """
 
 from __future__ import annotations
@@ -45,14 +51,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 
-from tpe.algebra import QQ, NonIntegralError, Poly, PrimeField, small_divisors
+from tpe.algebra import (
+    QQ,
+    NonIntegralError,
+    Poly,
+    PrimeField,
+    legendre_symbol,
+    small_divisors,
+)
 from tpe.curve import (
     AFFINE,
     CurvePoint,
     HyperellipticCurve,
     INF,
     ReducedPoint,
-    count_points_mod_p,
+    _point_count,
     has_good_reduction,
     on_curve,
     reduce_point,
@@ -140,10 +153,22 @@ class Jacobian:
         return cls.over_tower(curve, TowerSpec(), height_ceiling)
 
     @cached_property
+    def _counted(self) -> tuple[int, tuple[int, int]]:
+        points, roots, disc = _point_count(self.curve, self.field.p)
+        square = legendre_symbol(disc, self.field.p) == 1
+        return points, _order_class(self.f.degree, roots, square)
+
+    @property
     def curve_point_count(self) -> int:
-        """#C(F_p) over a prime field, counted on first use by
+        """#C(F_p) over a prime field, counted on first use by the pass of
         `count_points_mod_p`, which refuses bad reduction with ValueError."""
-        return count_points_mod_p(self.curve, self.field.p)
+        return self._counted[0]
+
+    @property
+    def order_class(self) -> tuple[int, int]:
+        """(M, c) with #J(F_p) = c mod M, from the same pass as
+        `curve_point_count` (`_order_class`)."""
+        return self._counted[1]
 
     @property
     def identity(self) -> MumfordDivisor:
@@ -330,49 +355,78 @@ def class_group_interval_from_count(p: int, genus: int, points: int) -> tuple[in
     return lo, hi
 
 
+def _order_class(degree: int, roots: int, square: bool) -> tuple[int, int]:
+    """(M, c) with #J(F_p) = c mod M for an odd model y^2 = f(x) with
+    f mod p squarefree of the given degree, `roots` roots in F_p and a
+    discriminant that is a square in F_p or not.
+
+    J(F_p)[2] has order 2^(r - 1) for r the number of irreducible factors
+    of f mod p (Cornelissen 2001).  r = roots + r', where the r' factors of
+    degree >= 2 share the other k = degree - roots degrees, so
+    1 <= r' <= k/2 (r' = 0 when k = 0), and r = degree mod 2 exactly when
+    the discriminant is a square (Stickelberger; Swan 1962).  r = 1 makes
+    #J(F_p) odd, (2, 1); otherwise 2^(r - 1) divides #J(F_p) for the least
+    r that fits, (2^(r - 1), 0), which is (1, 0) when both r = 1 and some
+    r >= 3 fit (genus >= 3)."""
+    k = degree - roots
+    parity = (k + (not square)) % 2  # of r', from r = degree mod 2 when square
+    fits = [roots + t for t in range(k // 2 + 1) if (t > 0) == (k > 0) and t % 2 == parity]
+    if fits == [1]:
+        return 2, 1
+    return 2 ** (min(fits) - 1), 0
+
+
 def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
     """Exact order of a reduced class over F_p, by baby-step giant-step.
 
-    The interval lo <= #J(F_p) <= hi narrowed by #C(F_p) (counted once per
-    Jacobian) holds a multiple of the order.  Baby steps j*D for
-    j < s = isqrt((hi - lo + 1) // 2) + 1 return any order below s
-    directly; the table matches both j*D and -j*D (negation costs no
-    addition; +j wins a collision), so each giant step g*D covers the
-    2s - 1 multiples g - s < m < g + s.  Giant steps run at multiples of
-    the stride t = 2s - 1 from q0*t, q0 = (lo + s - 1) // t, the first
-    whose window reaches lo, and the first match gives m1 > 0 with
-    m1*D = 0.  No multiple lies below m1 in the windows walked, so the
-    order is a divisor d of m1 with d >= s and d > m1 - (the first
-    window's start).  While such a d with m1 + d inside the scanned range
-    can still be the order, the walk goes on: a second match m2 hands
-    gcd(m1, m2) to the recovery instead of m1, and a walk past every such
-    m1 + d (or no such d at all) leaves m1.  The order is recovered from
-    the multiple's prime powers with a product tree (Sutherland 2007),
-    which reads the multiples k*D it needs off the tables:
-    k*D = q*(t*D) + r*D for k = q*t + r with |r| < s.  A match is an
-    exact equality of reduced pairs, so every multiple found is exact and
-    the tree returns the exact order from any of them.  Finding no m1
-    means the inputs were inconsistent.
+    The interval lo <= #J(F_p) <= hi narrowed by #C(F_p), and the class
+    #J(F_p) = c mod M that J(F_p)[2] fixes (`Jacobian.order_class`: order
+    2^(r - 1) for the r irreducible factors of f mod p, Cornelissen 2001,
+    with the parity of r from the discriminant, Stickelberger and Swan
+    1962), both known once per Jacobian, hold a multiple m = c + M*K of the
+    order.
+    The search runs on E = M*D (log2 M doublings, kept as a chain) over
+    K in [ceil((lo - c)/M), floor((hi - c)/M)], or with M = 1 when the
+    class would not shrink the work.  Baby steps j*E for
+    j < s = isqrt((width + 1) // 2) + 1 stop at any j with j*E = 0; the
+    table matches both j*E and -j*E (negation costs no addition; +j wins a
+    collision), so each giant step c*D + g*E covers the 2s - 1 multiples
+    c + M*(g - j), |j| < s.  Giant steps run at multiples of the stride
+    t = 2s - 1 from q0*t, the first whose window reaches the interval, and
+    the first match gives m1.  No multiple in the class lies below m1 in the
+    windows walked, so the order is a divisor d of m1 with
+    lcm(d, M) >= M*s (the order of E, lcm(d, M)/M, is at least s) and
+    lcm(d, M) > m1 - (the first window's start); its next multiple in the
+    class is m1 + lcm(d, M).  While such a d with m1 + lcm(d, M) inside
+    the scanned range can still be the order, the walk goes on: a second
+    match m2 hands gcd(m1, m2) to the recovery instead of m1, and a walk
+    past every such m1 + lcm(d, M) (or no such d at all) leaves m1.
+
+    The order is recovered from the multiple's prime powers with a product
+    tree (Sutherland 2007), which reads the multiples it needs off the
+    tables: k*E = q*(t*E) + r*E for k = q*t + r with |r| < s.  For c = 1
+    the order of D is odd and equals the order of E, so the tree runs on E;
+    otherwise it runs on D with k*D = (k // M)*E plus (k mod M)*D from the
+    doubling chain, at most log2 M additions.  A baby-step hit j with
+    M > 1 and c = 0 recovers from M*j.  A match is an exact equality of
+    reduced pairs, so every multiple found is exact and the tree returns
+    the exact order from any of them.  Finding no m1 means the inputs were
+    inconsistent.
     """
     if not isinstance(jac.field, PrimeField):
         raise TypeError("divisor_order runs over a prime field")
     lo, hi = class_group_interval_from_count(jac.field.p, jac.genus, jac.curve_point_count)
-    s = math.isqrt((hi - lo + 1) // 2) + 1
+    M, c, s, giants = _search_plan(lo, hi, *jac.order_class)
+    chain = [D]  # 2^i * D up to E = M * D
+    while len(chain) < M.bit_length():
+        chain.append(jac.add(chain[-1], chain[-1]))
+    E = chain[-1]
+    t = 2 * s - 1
     zero = jac.identity
     baby = {zero: 0}
-    multiples = [zero, D]  # j*D for j <= s
-    for j in range(1, s):
-        acc = multiples[j]
-        if acc == zero:
-            return j
-        baby[acc] = j
-        baby.setdefault(jac.neg(acc), -j)
-        multiples.append(jac.add(acc, D))
-    # the order is at least s, so the +j entries are distinct
-    t = 2 * s - 1
-    step = jac.add(multiples[s], multiples[s - 1])
+    multiples = [zero, E]  # j*E for j <= s
 
-    def times(k: int) -> MumfordDivisor:
+    def times_e(k: int) -> MumfordDivisor:
         q, r = divmod(k + s - 1, t)
         r -= s - 1
         small = multiples[r] if r >= 0 else jac.neg(multiples[-r])
@@ -381,29 +435,72 @@ def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
         big = jac.mul(q, step)
         return big if r == 0 else jac.add(big, small)
 
-    q0 = (lo + s - 1) // t
-    giants = range(q0 * t, hi + s, t)
-    first, last = giants[0] - s + 1, giants[-1] + s - 1  # the scanned range
-    giant = jac.mul(q0, step)
+    def times_d(k: int) -> MumfordDivisor:
+        q, r = divmod(k, M)
+        out = times_e(q) if q else None
+        for bit, twice in enumerate(chain):
+            if r >> bit & 1:
+                out = twice if out is None else jac.add(out, twice)
+        return out
+
+    for j in range(1, s):
+        acc = multiples[j]
+        if acc == zero:
+            if M == 1 or c:
+                return j
+            return _order_dividing(jac, D, _prime_powers(M * j), times_d)
+        baby[acc] = j
+        baby.setdefault(jac.neg(acc), -j)
+        multiples.append(jac.add(acc, E))
+    # the order of E is at least s, so the +j entries are distinct
+    step = jac.add(multiples[s], multiples[s - 1])
+    first, last = c + M * (giants[0] - s + 1), c + M * (giants[-1] + s - 1)
+    giant = jac.mul(giants[0] // t, step)
+    if c:
+        giant = jac.add(giant, D)
     m = None  # the first multiple found, then its gcd with a second one
     for g in giants:
         j = baby.get(giant)
-        if j is not None and g > j:
+        if j is not None and c + M * (g - j) > 0:
             if m is not None:
-                m = math.gcd(m, g - j)
+                m = math.gcd(m, c + M * (g - j))
                 break
-            m = g - j
-            # the order is a divisor d of m with d >= s and d > m - first
-            # (no multiple in the windows before); one with m + d <= last
-            # can still show as a second match
-            low = max(s, m - first + 1)
-            reach = m + max((d for d in small_divisors(m) if low <= d <= last - m), default=0)
-        if m is not None and g + s > reach:
-            break  # the next window starts past m + d for every such d
+            m = c + M * (g - j)
+            # the order is a divisor d of m with lcm(d, M) >= M*s (the order
+            # of E is at least s) and lcm(d, M) > m - first (no multiple in
+            # the windows before); one with m + lcm(d, M) <= last can still
+            # show as a second match
+            steps = [e for e in map(partial(math.lcm, M), small_divisors(m)) if e >= M * s]
+            reach = m + max((e for e in steps if m - first < e <= last - m), default=0)
+        if m is not None and c + M * (g + s) > reach:
+            break  # the next window starts past m + lcm(d, M) for every such d
         giant = jac.add(giant, step)
     if m is None:
         raise RuntimeError("order search exceeded the class-group bound")
-    return _order_dividing(jac, D, _prime_powers(m), times)
+    if c:
+        return _order_dividing(jac, E, _prime_powers(m), times_e)
+    return _order_dividing(jac, D, _prime_powers(m), times_d)
+
+
+def _search_plan(lo: int, hi: int, M: int, c: int) -> tuple[int, int, int, range]:
+    """(M, c, s, giants) for a search over the multiples m = c + M*K in
+    [lo, hi], or over every m in it (M = 1) when that is expected to take
+    no more additions: s baby steps and the giant steps g = q0*t, q0*t + t,
+    ..., t = 2s - 1.  The expected count, doubled, is the chain to
+    E = M*D, the baby steps, the first giant step q0*(t*E) (plus D when
+    c = 1) and half the other giant steps; the recovery is alike either
+    way."""
+    plans = []
+    for M, c in ((1, 0), (M, c)):
+        klo, khi = -((c - lo) // M), (hi - c) // M
+        s = math.isqrt((khi - klo + 1) // 2) + 1
+        t = 2 * s - 1
+        q0 = (klo + s - 1) // t
+        giants = range(q0 * t, khi + s, t)
+        first = q0.bit_length() + q0.bit_count() - 2 if q0 else 0
+        cost = 2 * (M.bit_length() - 1 + s + first + c) + len(giants)
+        plans.append((cost, M, c, s, giants))
+    return min(plans, key=lambda plan: plan[0])[1:]
 
 
 def _prime_powers(m: int) -> list[tuple[int, int]]:

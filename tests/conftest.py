@@ -2,11 +2,13 @@
 implementation paths they check (Sylvester determinants for resultants,
 polynomial construction one coerce call per coefficient, Horner's rule and
 long division over every coefficient, zeros included,
-plain-int brute-force point counts and roots, enumeration square roots,
+plain-int brute-force point counts and roots, the extended Euclid on
+Polys, enumeration square roots,
 Cantor's full composition and reduction with squares taken as general products,
 double-and-add from the lowest set bit, linear order scans, baby-step
 giant-step over the generic Hasse-Weil interval and over the narrowed one,
-the narrowed search recovering from its first match with plain `mul`,
+the narrowed search recovering from its first match with plain `mul`, and
+from a second match over the whole interval,
 enumerated Jacobian orders, the exact n*D = 0 built in full,
 B + D = -B by building B + D, and the two-pass Weierstrass family check)."""
 
@@ -38,6 +40,24 @@ from tpe.jacobian import (
 def qp(*coeffs) -> Poly:
     """Rational polynomial from low-to-high coefficients."""
     return Poly.over_q(coeffs)
+
+
+def xgcd_reference(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Poly.xgcd as it stood with every remainder and cofactor a Poly:
+    (g, s) with g = gcd(a, b) monic (or zero) and g = s*a mod b, the chain
+    ending at a nonzero constant remainder."""
+    field = a.field
+    s0, s1 = Poly.const(field, field.one), Poly(field)
+    while b.degree > 0:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+    if b:
+        a, s0 = b, s1
+    if not a:
+        return a, s0
+    inv = field.div(field.one, a.leading)
+    return a * inv, s0 * inv
 
 
 def sylvester_resultant(f: Poly, g: Poly) -> Fraction:
@@ -393,6 +413,50 @@ def divisor_order_reference(jac: Jacobian, D) -> int:
     if "order" in found:
         return found["order"]
     return order_dividing_reference(jac, D, found["m1"])
+
+
+def second_match_reference(jac: Jacobian, D) -> dict:
+    """The order search as it stood before the class that J(F_p)[2] fixes:
+    the tables and giant steps of `first_match_reference` over the whole
+    narrowed interval, then a walk past the first match m1 while a divisor
+    d of m1 with d >= s, d > m1 - first and m1 + d <= last can still be the
+    order, taking gcd(m1, m2) from a second match m2.  Returns s, first,
+    last and either the order found by the baby steps ("order") or m1, the
+    multiple m handed to the recovery and the order recovered from it with
+    plain `mul` (`order_dividing_reference`)."""
+    lo, hi = class_group_interval_from_count(jac.field.p, jac.genus, jac.curve_point_count)
+    s = math.isqrt((hi - lo + 1) // 2) + 1
+    t = 2 * s - 1
+    q0 = (lo + s - 1) // t
+    giants = range(q0 * t, hi + s, t)
+    out = {"s": s, "first": giants[0] - s + 1, "last": giants[-1] + s - 1}
+    zero = jac.identity
+    baby = {zero: 0}
+    prev, acc = zero, D
+    for j in range(1, s):
+        if acc == zero:
+            return {**out, "order": j}
+        baby[acc] = j
+        baby.setdefault(jac.neg(acc), -j)
+        prev, acc = acc, jac.add(acc, D)
+    step = jac.add(acc, prev)
+    giant = jac.mul(q0, step)
+    m1 = m = None
+    for g in giants:
+        j = baby.get(giant)
+        if j is not None and g > j:
+            if m1 is not None:
+                m = math.gcd(m1, g - j)
+                break
+            m1 = m = g - j
+            low = max(s, m1 - out["first"] + 1)
+            ds = [d for d in small_divisors(m1) if low <= d <= out["last"] - m1]
+            reach = m1 + max(ds, default=0)
+        if m1 is not None and g + s > reach:
+            break
+        giant = jac.add(giant, step)
+    assert m1 is not None, "no multiple of the order within the narrowed interval"
+    return {**out, "m1": m1, "m": m, "order": order_dividing_reference(jac, D, m)}
 
 
 def mumford_classes(f: list[int], p: int, genus: int) -> list[tuple[list[int], list[int]]]:

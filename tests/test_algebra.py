@@ -15,6 +15,7 @@ from conftest import (
     horner_dense_reference,
     qp,
     sylvester_resultant,
+    xgcd_reference,
 )
 from tpe.algebra import (
     NonIntegralError,
@@ -434,6 +435,30 @@ def test_xgcd_bezout_monic_common_divisor(name, field, coeff):
         assert g.leading == field.one and not a % g and not b % g, (a, b)
         ends.add("gcd 1" if g.degree == 0 else "gcd of positive degree")
     assert ends == {"gcd 1", "gcd of positive degree"}
+
+
+@pytest.mark.parametrize(
+    "name, field, coeff",
+    [d for d in _domains() if d[0] != "F_199"],
+    ids=[d[0] for d in _domains() if d[0] != "F_199"],
+)
+def test_xgcd_matches_the_polynomial_reference(name, field, coeff):
+    """Poly.xgcd, which keeps its remainders and cofactor as coefficient
+    lists, returns the (g, s) of `xgcd_reference`, whose every step is a
+    Poly, on seeded pairs of random degrees with and without a common
+    factor, with constant and zero arguments among them."""
+    rng = random.Random(47)
+
+    def rand(max_len):
+        return Poly(field, [coeff(rng) for _ in range(rng.randrange(0, max_len + 1))])
+
+    pairs = 600 if name == "Q(sqrt151)" else 2500
+    for n in range(pairs):
+        a, b = rand(7), rand(6)
+        if n % 3 == 0:
+            common = rand(3)
+            a, b = a * common, b * common
+        assert a.xgcd(b) == xgcd_reference(a, b), (a, b)
 
 
 def test_power_is_repeated_products_and_a_square_one_product(monkeypatch):

@@ -20,6 +20,7 @@ from tpe.algebra import (
 from tpe.curve import (
     CurvePoint,
     ReducedPoint,
+    _point_count,
     count_points_mod_p,
     has_good_reduction,
     is_weierstrass,
@@ -145,7 +146,8 @@ def test_count_points_even_model_nonsquare_leading():
 
 def test_count_points_against_brute_force_oracle():
     """count_points_mod_p and roots_mod_p against the plain-int brute force
-    over F_p^2 on seeded dense quintics and sextics."""
+    over F_p^2 on seeded dense quintics and sextics; the count's own pass
+    (`_point_count`) also gives the number of those roots and disc(f mod p)."""
     rng = random.Random(43)
     done = 0
     while done < 60:
@@ -163,7 +165,9 @@ def test_count_points_against_brute_force_oracle():
             continue
         count, zeros = brute_force_points(dict(enumerate(cs)), p)
         assert count_points_mod_p(curve, p) == brute_force_count(f, p) == count
-        assert roots_mod_p(reduce_poly_mod_p(f, p)) == zeros
+        fp = reduce_poly_mod_p(f, p)
+        assert roots_mod_p(fp) == zeros
+        assert _point_count(curve, p) == (count, len(zeros), discriminant(fp))
         done += 1
 
 

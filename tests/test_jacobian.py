@@ -27,6 +27,7 @@ from conftest import (
     narrowed_order,
     qp,
     random_reduced_class,
+    second_match_reference,
 )
 from tpe.algebra import (
     QQ,
@@ -256,7 +257,8 @@ def test_divisor_order_matches_linear_scan(genus):
 )
 def test_class_group_interval_holds_enumerated_order(genus, p):
     """#J(F_p) from every reduced Mumford pair lies in the Hasse-Weil
-    interval and in the one narrowed by #C(F_p), and the order of each class
+    interval and in the one narrowed by #C(F_p), lies in the class
+    #J = c mod M of `Jacobian.order_class`, and the order of each class
     divides it.  In genus 1 the narrowed interval is the single value
     #J = #C(F_p)."""
     jac = _oracle_jacobian(genus, p)
@@ -269,6 +271,8 @@ def test_class_group_interval_holds_enumerated_order(genus, p):
     assert 0 <= nlo <= len(classes) <= nhi
     if genus == 1:
         assert nlo == nhi == points == len(classes)
+    M, c = jac.order_class
+    assert len(classes) % M == c, (M, c, len(classes))
     rng = random.Random(73)
     for u, v in rng.sample(classes, min(len(classes), 24)):
         D = MumfordDivisor(Poly(jac.field, u), Poly(jac.field, v))
@@ -292,8 +296,9 @@ def _perfbench_oracle():
 )
 def test_narrowed_interval_holds_oracle_order(genus, p, curves):
     """On random good-reduction curves, lo <= #J(F_p) <= hi for the interval
-    narrowed by #C(F_p), with #J from the point-count oracle; the count
-    matches the oracle's, and the order of a random class divides #J."""
+    narrowed by #C(F_p) and #J = c mod M for `Jacobian.order_class`, with
+    #J from the point-count oracle; the count matches the oracle's, and the
+    order of a random class divides #J."""
     oracle = _perfbench_oracle()
     rng = random.Random(101 * p + genus)
     checked = 0
@@ -310,8 +315,39 @@ def test_narrowed_interval_holds_oracle_order(genus, p, curves):
         lo, hi = class_group_interval_from_count(p, genus, jac.curve_point_count)
         group = oracle.jacobian_order(f, p)
         assert 0 <= lo <= group <= hi, (f, lo, group, hi)
+        M, c = jac.order_class
+        assert group % M == c, (f, M, c, group)
         assert group % divisor_order(jac, random_reduced_class(jac, rng)) == 0
         checked += 1
+
+
+def test_order_class_holds_oracle_order_in_every_kind():
+    """#J(F_p) = c mod M for the (M, c) of `Jacobian.order_class`, with #J
+    from the point-count oracle, on random good-reduction curves in genus 2
+    at p = 3, 5, 7, 11, 13 and genus 3 at p = 7, 13, until every kind has
+    occurred: #J odd (2, 1), 2^(r - 1) | #J for r = 2, 3, 4 irreducible
+    factors of f mod p, and in genus 3 also r = 5 and the case where both
+    r = 1 and r = 3 fit the roots and the discriminant, (1, 0)."""
+    oracle = _perfbench_oracle()
+    rng = random.Random(131)
+    wanted = {
+        2: {(2, 1), (2, 0), (4, 0), (8, 0)},
+        3: {(1, 0), (2, 0), (4, 0), (8, 0), (16, 0)},
+    }
+    for genus, primes in ((2, (3, 5, 7, 11, 13)), (3, (7, 13))):
+        kinds = set()
+        for _ in range(4000):
+            p = rng.choice(primes)
+            f = [rng.randrange(p) for _ in range(2 * genus + 1)] + [1]
+            curve = make_curve(qp(*f)) if is_squarefree(qp(*f)) else None
+            if curve is None or not has_good_reduction(curve, p):
+                continue
+            M, c = Jacobian.over_prime_field(curve, p).order_class
+            assert oracle.jacobian_order(f, p) % M == c, (f, p, M, c)
+            kinds.add((M, c))
+            if wanted[genus] <= kinds:
+                break
+        assert wanted[genus] <= kinds, (genus, kinds)
 
 
 def test_divisor_order_refuses_bad_reduction():
@@ -574,21 +610,29 @@ def test_divisor_order_matches_oracle_order_searches(genus):
 
 def test_divisor_order_matches_the_first_match_search(monkeypatch):
     """divisor_order equals the search that recovers from its first match
-    with plain `mul` (`divisor_order_reference`), and at p <= 13 the linear
-    scan, on seeded classes: genus 2 at p = 7, 11, 13, 101, genus 3 at
-    p = 7, 19, the quintic's (-1, 1) at every good p from 7 to 31 and four
-    more of its classes at p = 31, the identity, 2-torsion classes and a
-    class of order below s.  With n the order, m1 the first match and C
-    the divisors d of m1 with d >= s, d > m1 - first and m1 + d <= last,
-    the search takes a second match exactly when n is in C.  Each branch
-    runs: a return in the baby steps, no candidate (C empty), a second
-    match, a walk that ends without one (C not empty, n not in C), and a
-    multiple k*D read off the tables as q*(t*D) + r*D with r < 0; every
-    such multiple equals `mul`'s."""
-    roots = []  # (multiple handed to the tree, [k of each table multiple])
+    with plain `mul` (`divisor_order_reference`), the second-match search
+    over the whole interval (`second_match_reference`) and, at p <= 13, the
+    linear scan, on seeded classes: genus 2 at p = 7, 11, 13, 101, genus 3
+    at p = 7, 19, the quintic's (-1, 1) at every good p from 7 to 31 and
+    four more of its classes at p = 31, the identity, 2-torsion classes and
+    a class of order below s.  The search runs over m = c + M*K for the
+    (M, c, s, giants) of `_search_plan`; with n the order, m1 the first
+    match and C the divisors d of m1 with lcm(d, M) >= M*s and
+    m1 - first < lcm(d, M) <= last - m1, a second match m (m | m1, n | m)
+    can follow only when n is in C, and m1 is recovered from otherwise.
+    Each branch runs: M = 1, M > 1 with c = 0 and with c = 1, a return in
+    the baby steps, a baby-step hit with M > 1 (recovered from M*j), no
+    candidate (C empty), a second match inside a class with M > 1 that
+    leaves a smaller multiple, a walk that ends without one (C not empty,
+    n not in C), a table multiple k*E = q*(t*E) + r*E with r < 0 and a
+    multiple k*D with k mod M != 0, which adds from the doubling chain;
+    every table multiple equals `mul`'s, and for c = 1 the tree runs on
+    E = M*D."""
+    roots = []  # (class the tree runs on, multiple handed to it, [k of each table multiple])
+    firsts = []  # the first match of each search, as divisor_order factors it
 
     def spy(jac, D, factors, times=None):
-        if times is not None:  # the root: D is the searched class
+        if times is not None:  # the root: D is the searched class, or E
             ks = []
 
             def checked(k):
@@ -597,12 +641,17 @@ def test_divisor_order_matches_the_first_match_search(monkeypatch):
                 ks.append(k)
                 return E
 
-            roots.append((math.prod(q**e for q, e in factors), ks))
+            roots.append((D, math.prod(q**e for q, e in factors), ks))
             return order_dividing(jac, D, factors, checked)
         return order_dividing(jac, D, factors)
 
+    def divisors_spy(m):
+        firsts.append(m)
+        return small_divisors(m)
+
     order_dividing = jacobian_module._order_dividing
     monkeypatch.setattr(jacobian_module, "_order_dividing", spy)
+    monkeypatch.setattr(jacobian_module, "small_divisors", divisors_spy)
     rng = random.Random(107)
     cases = []
     for genus, primes in ((2, (7, 11, 13, 101)), (3, (7, 19))):
@@ -619,50 +668,67 @@ def test_divisor_order_matches_the_first_match_search(monkeypatch):
             cases.append((jac, jac.embed(reduce_point(QUINTIC_POINT, QUINTIC, split_places(QTRIV, p)[0]))))
     # at p = 31 most classes have an order whose next multiple leaves the range
     cases += [(jac, random_reduced_class(jac, rng)) for _ in range(4)]
-    seen = set()
+
+    def plan(jac):
+        lo, hi = class_group_interval_from_count(jac.field.p, jac.genus, jac.curve_point_count)
+        return jacobian_module._search_plan(lo, hi, *jac.order_class)
+
     small_order_added = False
     for jac, D in list(cases):
         n = divisor_order(jac, D)
-        found = first_match_reference(jac, D)
-        s = found["s"]
+        s = plan(jac)[2]
         if not small_order_added and n >= s:
             d = next((d for d in small_divisors(n) if 2 < d < s), None)
             if d is not None:
                 cases.append((jac, jac.mul(n // d, D)))
                 small_order_added = True
+    seen = set()
     orders = set()
     for jac, D in cases:
         roots.clear()
+        firsts.clear()
         n = divisor_order(jac, D)
         assert n == divisor_order_reference(jac, D), (jac.field, D)
+        assert n == second_match_reference(jac, D)["order"], (jac.field, D)
         orders.add(n)
         if jac.field.p <= 13:
             assert n == linear_order(jac, D), (jac.field, D)
-        found = first_match_reference(jac, D)
-        s, first, last = found["s"], found["first"], found["last"]
-        if n < s:
-            assert found["order"] == n and not roots
-            seen.add("baby steps")
+        M, c, s, giants = plan(jac)
+        seen.add("M = 1" if M == 1 else f"M > 1, c = {c}")
+        if n // math.gcd(n, M) < s:  # the order of E = M*D
+            assert not firsts
+            if M == 1 or c:
+                assert not roots
+                seen.add("baby steps")
+            else:
+                (_, m, _), = roots
+                assert m == M * (n // math.gcd(n, M))
+                seen.add("baby steps, M > 1")
             continue
-        m1 = found["m1"]
-        C = [d for d in small_divisors(m1) if d >= s and d > m1 - first and m1 + d <= last]
-        (m, ks), = roots
+        (m1,), ((root, m, ks),) = firsts, roots
+        assert root == (jac.mul(M, D) if c else D)
+        first, last = c + M * (giants[0] - s + 1), c + M * (giants[-1] + s - 1)
+        C = [d for d in small_divisors(m1) if M * s <= math.lcm(d, M) and m1 - first < math.lcm(d, M) <= last - m1]
+        assert m1 % m == 0 and m % n == 0, (m1, m, n)
         if n in C:
-            seen.add("second match")
-            assert m1 % m == 0 and m % n == 0, (m1, m, n)
             if m < m1:
-                seen.add("smaller multiple")
+                seen.add("second match" + (", M > 1" if M > 1 else ""))
         else:
             seen.add("walk without a second match" if C else "no candidate")
             assert m == m1, (m1, m, n)
         t = 2 * s - 1
-        if any(k >= s and (k + s - 1) % t < s - 1 for k in ks):
-            seen.add("r < 0")
+        for k in ks:
+            e = k if c else k // M  # k*E or (k // M)*E off the tables
+            if e >= s and (e + s - 1) % t < s - 1:
+                seen.add("r < 0")
+            if k % M and not c:
+                seen.add("k mod M != 0")
     assert small_order_added and {1, 2} <= orders
-    assert seen == {
-        "baby steps", "no candidate", "second match", "smaller multiple",
-        "walk without a second match", "r < 0",
-    }, seen
+    assert {
+        "M = 1", "M > 1, c = 0", "M > 1, c = 1", "baby steps", "baby steps, M > 1",
+        "no candidate", "second match, M > 1", "walk without a second match", "r < 0",
+        "k mod M != 0",
+    } <= seen, seen
 
 
 def _points_and_sums_over(tower: TowerSpec):
@@ -720,6 +786,22 @@ def test_divisor_order_certificate_at_large_p(p, point, order):
     assert jac.mul(n, D) == jac.identity
     for q in filter(is_prime, small_divisors(n)):
         assert jac.mul(n // q, D) != jac.identity
+
+
+@pytest.mark.parametrize("p, order, most", [(101, 5989, 62), (1009, 72051, 142)])
+def test_reference_class_search_additions(monkeypatch, p, order, most):
+    """The order search on (-1, 1) of y^2 = x^5 + x + 3 makes at most 62
+    Cantor additions at p = 101 and 142 at p = 1009 (57 and 140 in the
+    class #J = 0 mod 2, against 62 and 168 for the second-match search over
+    the whole interval), counted through `Jacobian.add` after #C(F_p)."""
+    jac = Jacobian.over_prime_field(QUINTIC, p)
+    D = jac.embed(ReducedPoint("affine", x=p - 1, y=1))
+    assert jac.order_class == (2, 0)
+    calls = []
+    add = Jacobian.add
+    monkeypatch.setattr(Jacobian, "add", lambda self, D1, D2: calls.append(1) or add(self, D1, D2))
+    assert divisor_order(jac, D) == order
+    assert len(calls) <= most, len(calls)
 
 
 def test_torsion_decide_certified():
