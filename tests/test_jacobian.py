@@ -55,6 +55,8 @@ from tpe.jacobian import (
     NotTorsion,
     Undecidable,
     _adds_to_neg,
+    _exact_verdict,
+    _order_differs,
     class_group_bound,
     class_group_interval,
     class_group_interval_from_count,
@@ -557,8 +559,9 @@ def test_mul_matches_the_chain_from_the_lowest_bit(domain):
 def test_mul_height_checks_like_addition_from_the_identity():
     """With a one-digit ceiling (19 bits) the class of (2^20, 1) on
     y^2 = x^5 + 1 - 2^100 breaches it itself: mul(1, D) and mul(3, D) raise,
-    as adding D to the identity would, and the torsion decision is
-    Undecidable."""
+    as adding D to the identity would, and the exact check at its reduced
+    order at p = 7 is Undecidable.  The torsion decision refutes the class
+    from its reduced orders at other primes before it builds a multiple."""
     x0 = 2**20
     curve = make_curve(qp(1 - x0**5, 0, 0, 0, 0, 1))
     point = CurvePoint.affine(QTRIV.rational(x0), QTRIV.rational(1))
@@ -568,7 +571,10 @@ def test_mul_height_checks_like_addition_from_the_identity():
         with pytest.raises(HeightLimitExceeded):
             jac.mul(n, D)
     place = split_places(QTRIV, 7)[0]
-    assert isinstance(torsion_decide(point, curve, QTRIV, 7, place, height_ceiling=1), Undecidable)
+    j7 = Jacobian.over_prime_field(curve, 7)
+    n = divisor_order(j7, j7.embed(reduce_point(point, curve, place)))
+    assert isinstance(_exact_verdict(jac, point, n), Undecidable)
+    assert torsion_decide(point, curve, QTRIV, 7, place, height_ceiling=1) == NotTorsion()
 
 
 @pytest.mark.parametrize("genus", (1, 2, 3))
@@ -913,6 +919,106 @@ def test_torsion_decide_certifies_the_point_at_infinity():
         assert torsion_decide(CurvePoint.infinity(), c20, T20, 11, place) == CertifiedTorsion(1)
 
 
+ORDER7_CURVE = make_curve(qp(Fraction(1, 4), 0, 0, -1, -1, -1))  # y^2 = -x^5 - x^4 - x^3 + 1/4
+ORDER7_POINT = CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(Fraction(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "point, curve, n",
+    [
+        (CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(3)), C9, 5),
+        (CurvePoint.affine(QTRIV.rational(-1), QTRIV.rational(0)), C1, 2),
+        (CurvePoint.infinity(), C9, 1),
+        (ORDER7_POINT, ORDER7_CURVE, 7),
+    ],
+    ids=["order5", "weierstrass", "infinity", "order7"],
+)
+def test_reduced_orders_never_refute_a_torsion_class(point, curve, n):
+    """Reduction is injective on torsion at every odd prime of good
+    reduction, so the reduced orders at other primes never refute a torsion
+    class: at every odd p <= 47 where torsion_decide accepts the input it
+    certifies the order.  The order-7 curve is f = (A^2 - x^7)/t^2 with
+    t = x - 1 and A = 1 + (7/2)t + 3t^2 + t^3, and P = (0, A(0)/t(0))
+    = (0, 1/2)."""
+    accepted = 0
+    for p in range(3, 48, 2):
+        if not is_prime(p) or not has_good_reduction(curve, p):
+            continue
+        place = split_places(QTRIV, p)[0]
+        assert torsion_decide(point, curve, QTRIV, p, place) == CertifiedTorsion(n), p
+        accepted += 1
+    assert accepted >= 10
+
+
+@pytest.mark.parametrize("genus", (2, 3))
+def test_refutations_from_other_primes_agree_with_the_full_multiple(genus):
+    """On seeded small-height points over Q on random curves, every class
+    that the reduced orders at other primes refute with n <= 150 has
+    n*D != 0 when n*D is built in full over Q, and torsion_decide refutes
+    it; classes the step lets through are left to the exact check."""
+    rng = random.Random(271 + genus)
+    refuted = 0
+    while refuted < 8:
+        curve, _, point = _curve_through_a_point(rng, genus, 1, False)
+        p = rng.choice([q for q in range(3, 30) if is_prime(q) and has_good_reduction(curve, q)])
+        place = split_places(QTRIV, p)[0]
+        jp = Jacobian.over_prime_field(curve, p)
+        n = divisor_order(jp, jp.embed(reduce_point(point, curve, place)))
+        if n > 150 or not _order_differs(point, curve, QTRIV, p, n):
+            continue
+        jq = Jacobian.over_q(curve)
+        assert not exact_multiple_is_zero(jq, n, jq.embed(point)), (curve, point, p)
+        assert torsion_decide(point, curve, QTRIV, p, place) == NotTorsion()
+        refuted += 1
+
+
+def test_order_step_skips_a_prime_where_the_point_is_not_integral(monkeypatch):
+    """(1/9, 59048/243) lies on y^2 = x^5 + 59047, which has good reduction
+    at 3: the step skips 3 (P is not 3-integral) and 5 (bad reduction) and
+    reduces P at 11 first, and it refutes the class as n*D does."""
+    curve = make_curve(qp(59047, 0, 0, 0, 0, 1))
+    point = CurvePoint.affine(QTRIV.rational(Fraction(1, 9)), QTRIV.rational(Fraction(59048, 243)))
+    assert has_good_reduction(curve, 3) and not has_good_reduction(curve, 5)
+    place = split_places(QTRIV, 7)[0]
+    j7 = Jacobian.over_prime_field(curve, 7)
+    n = divisor_order(j7, j7.embed(reduce_point(point, curve, place)))
+    built = []
+    over_prime_field = Jacobian.over_prime_field
+    monkeypatch.setattr(
+        Jacobian, "over_prime_field",
+        classmethod(lambda cls, c, q: built.append(q) or over_prime_field(c, q)),
+    )
+    assert _order_differs(point, curve, QTRIV, 7, n)
+    assert built[0] == 11 and not {3, 5} & set(built)
+    monkeypatch.undo()
+    jq = Jacobian.over_q(curve)
+    assert n <= 150 and not exact_multiple_is_zero(jq, n, jq.embed(point))
+
+
+@pytest.mark.parametrize("p, n", [(5, 6), (11, 144), (101, 5989), (1009, 72051)])
+def test_quintic_class_refuted_without_an_exact_multiple(monkeypatch, p, n):
+    """The quintic class is refuted under a one-digit ceiling with no Cantor
+    addition over Q.  At p = 5 its reduced order 6 is also the one at 3, and
+    the second prime, 7 (not p itself), refutes with order 81.  At p = 11
+    the order 6 at 3 divides n = 144, so (n/2)*D_3 = 0 refutes; at p = 101
+    and 1009, where the exact half multiples ran past 100 s, n*D_3 != 0
+    does."""
+    place = split_places(QTRIV, p)[0]
+    jp = Jacobian.over_prime_field(QUINTIC, p)
+    assert divisor_order(jp, jp.embed(reduce_point(QUINTIC_POINT, QUINTIC, place))) == n
+    exact = []
+    add = Jacobian.add
+
+    def counting_add(self, D1, D2):
+        if self.field == QQ:
+            exact.append((D1, D2))
+        return add(self, D1, D2)
+
+    monkeypatch.setattr(Jacobian, "add", counting_add)
+    assert torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, p, place, height_ceiling=1) == NotTorsion()
+    assert not exact
+
+
 def _random_poly(rng, degree, lead):
     return [rng.randint(-4, 4) for _ in range(degree)] + [lead]
 
@@ -1028,21 +1134,24 @@ def test_odd_check_matches_building_b_plus_d(monkeypatch):
 
 
 def test_odd_check_has_no_ceiling_on_the_class_it_never_builds():
-    """The quintic class at p = 7 has odd reduced order 81.  The check builds
-    40*D (2,519 bits) and never 41*D (2,652 bits), so a ceiling of 770
-    digits (2,582 bits) that 41*D breaches still refutes; 700 digits
-    (2,349 bits) stops 40*D and cannot decide."""
+    """The quintic class at p = 7 has odd reduced order 81.  The exact check
+    builds 40*D (2,519 bits) and never 41*D (2,652 bits), so a ceiling of
+    770 digits (2,582 bits) that 41*D breaches still refutes; 700 digits
+    (2,349 bits) stops 40*D and cannot decide.  The torsion decision
+    refutes at both ceilings from the reduced orders at other primes."""
     D = Jacobian.over_q(QUINTIC).embed(QUINTIC_POINT)
     Jacobian.over_q(QUINTIC, 770).mul(40, D)
     with pytest.raises(HeightLimitExceeded):
         Jacobian.over_q(QUINTIC, 770).mul(41, D)
     with pytest.raises(HeightLimitExceeded):
         Jacobian.over_q(QUINTIC, 700).mul(40, D)
-    place = split_places(QTRIV, 7)[0]
-    verdict = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 7, place, height_ceiling=770)
-    assert verdict == NotTorsion()
-    below = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 7, place, height_ceiling=700)
+    assert _exact_verdict(Jacobian.over_q(QUINTIC, 770), QUINTIC_POINT, 81) == NotTorsion()
+    below = _exact_verdict(Jacobian.over_q(QUINTIC, 700), QUINTIC_POINT, 81)
     assert isinstance(below, Undecidable)
+    place = split_places(QTRIV, 7)[0]
+    for ceiling in (770, 700):
+        verdict = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 7, place, height_ceiling=ceiling)
+        assert verdict == NotTorsion()
 
 
 def test_reduce_divisor_over_q_needs_p_integral_coefficients():
@@ -1078,9 +1187,11 @@ def _digits(D: MumfordDivisor) -> int:
 
 
 def test_height_ceiling_bounds_the_half_multiple():
-    """The quintic class at p = 13 has reduced order 42.  The ceiling bounds
-    21*D, not 42*D: a ceiling between their digit counts, which building
-    42*D would breach, still decides, and one below 21*D's does not."""
+    """The quintic class at p = 13 has reduced order 42.  The exact check's
+    ceiling bounds 21*D, not 42*D: a ceiling between their digit counts,
+    which building 42*D would breach, still decides, and one below 21*D's
+    does not.  The torsion decision refutes at both ceilings from the
+    reduced orders at other primes."""
     jac = Jacobian.over_q(QUINTIC)
     D = jac.embed(QUINTIC_POINT)
     d21, d42 = _digits(jac.mul(21, D)), _digits(jac.mul(42, D))
@@ -1088,11 +1199,13 @@ def test_height_ceiling_bounds_the_half_multiple():
     assert d21 < between < d42
     with pytest.raises(HeightLimitExceeded):
         Jacobian.over_q(QUINTIC, between).mul(42, D)
-    place = split_places(QTRIV, 13)[0]
-    verdict = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 13, place, height_ceiling=between)
-    assert verdict == NotTorsion()
-    below = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 13, place, height_ceiling=d21 // 2)
+    assert _exact_verdict(Jacobian.over_q(QUINTIC, between), QUINTIC_POINT, 42) == NotTorsion()
+    below = _exact_verdict(Jacobian.over_q(QUINTIC, d21 // 2), QUINTIC_POINT, 42)
     assert isinstance(below, Undecidable)
+    place = split_places(QTRIV, 13)[0]
+    for ceiling in (between, d21 // 2):
+        verdict = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, 13, place, height_ceiling=ceiling)
+        assert verdict == NotTorsion()
 
 
 def test_torsion_decide_undecidable_on_reducible_relation():
