@@ -249,7 +249,7 @@ def cmd_torsion(args) -> int:
         code = EXIT_OK
     elif isinstance(verdict, NotTorsion):
         payload = {"verdict": "not_torsion"}
-        text = "not torsion (exact multiple is nonzero)"
+        text = f"not torsion ({verdict.reason})"
         code = EXIT_OK
     else:
         payload = {"verdict": "undecidable", "reason": verdict.reason}

@@ -303,7 +303,7 @@ def verify_certificate(
         if isinstance(verdict, NotTorsion):
             return EntryResult(
                 index, kind, False,
-                "refuted: the class is not torsion (exact multiple is nonzero)",
+                f"refuted: the class is not torsion ({verdict.reason})",
             )
         return EntryResult(index, kind, False, f"undecidable: {verdict.reason}")
 

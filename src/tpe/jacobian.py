@@ -32,12 +32,16 @@ product tree over its primes whose multiples come from the search's own
 tables (of E, plus the doubling chain from D to E when c = 0).
 
 Reduction is injective on torsion at every odd prime of good reduction
-(Katz, Invent. Math. 62, 1981, appendix), so the torsion decision refutes
-a point over Q whose reduced order at p is not its order at two more such
-primes, with O(log n) additions over F_q per test.  Only the exact check
-certifies: it decides n*D = 0 from B = floor(n/2)*D alone: B = -B for
-even n, and for odd n B + D = -B, tested as 2B + D being the divisor of
-y - V for the V of the composition of B and D.  So its height ceiling
+(Katz, Invent. Math. 62, 1981, appendix), so the torsion decision finds
+the order n of a point over Q at the smallest such prime where it is
+integral, among p and two more, and refutes the point where its reduced
+order at the others, p included, is not n, with O(log n) additions over
+F_q per test: no point count runs at p when a usable prime lies below it.
+Tower points find n at p until the benchmark expects the refutation of
+its Q(sqrt 3121) case (ROADMAP item 3).  Only the exact check certifies:
+it decides n*D = 0 from B = floor(n/2)*D alone: B = -B for even n, and
+for odd n B + D = -B, tested as 2B + D being the divisor of y - V for the
+V of the composition of B and D.  So its height ceiling
 bounds B and the binary prefixes of floor(n/2) built on the way, about a
 quarter of the bits of n*D.
 
@@ -52,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -86,7 +90,9 @@ from tpe.tower import (
 )
 
 DEFAULT_HEIGHT_CEILING = 1_000_000  # decimal digits per numerator/denominator
-REFUTING_PRIMES = 2  # good primes besides p whose reduced orders a point over Q must match
+# usable primes besides p in the torsion walk of a point over Q: n comes from
+# the smallest of the three, and p and the others must confirm it
+REFUTING_PRIMES = 2
 
 
 def resolve_height_ceiling(value: int | None = None) -> int:
@@ -594,7 +600,10 @@ class CertifiedTorsion:
 
 @dataclass(frozen=True)
 class NotTorsion:
-    pass
+    """A refuted class; `reason` names the check that decided, and two
+    refutations are equal whatever their reasons."""
+
+    reason: str = field(default="exact multiple is nonzero", compare=False)
 
 
 @dataclass(frozen=True)
@@ -647,10 +656,15 @@ def torsion_decide(
     At an odd, completely split prime of good reduction, reduction is
     injective on the torsion subgroup (Katz, Invent. Math. 62, 1981,
     appendix), so a torsion class has the same order n as its reduction at
-    every such prime.  The procedure finds n over F_p (divisor_order).  A
-    point over Q whose reduced order at one of REFUTING_PRIMES more primes
-    is not n is refuted there (`_order_differs`).  Tower points skip that
-    step until the benchmark's Q(sqrt 3121) case under a one-digit ceiling,
+    every such prime.  For a point over Q the procedure walks up p and the
+    first REFUTING_PRIMES odd primes q != p of good reduction at which P is
+    q-integral (`_usable_primes`).  It finds n at the smallest of them
+    (divisor_order, whose point count and search grow with that prime, so p
+    is only searched when no usable prime lies below it) and refutes the
+    class at any later one, p included, whose reduced class D_q has
+    n*D_q != 0 or (n/l)*D_q = 0 for a prime l | n: O(log n) additions over
+    F_q and no point count.  Tower points find n at p and skip the walk
+    until the benchmark's Q(sqrt 3121) case under a one-digit ceiling,
     which it refutes, expects that sound verdict (ROADMAP item 3).
 
     Only the exact check (`_exact_verdict`) certifies: n*D = 0 over Q or
@@ -660,7 +674,8 @@ def torsion_decide(
     which does not build B + D).  A reduced (u, v) is unique, so the test
     is exact, and neither the height-n^2 multiple n*D nor ceil(n/2)*D is
     built.  Zero divisors, or a coefficient beyond the height ceiling in B
-    or in a multiple built on the way to it, yield Undecidable.
+    or in a multiple built on the way to it, yield Undecidable.  Each
+    NotTorsion names the check that decided it.
 
     `place` must be one of `split_places(tower, p)`, which also refuses a p
     that is not an odd prime (PrimeField), a ramified p and a relation that is
@@ -679,43 +694,40 @@ def torsion_decide(
         raise ValueError("point is not on the curve")
 
     jac_f = Jacobian.over_tower(curve, tower, height_ceiling)  # refuses a ceiling below 1
-    jac_p = Jacobian.over_prime_field(curve, p)
     try:
         reduced = reduce_point(point, curve, place)
     except NonIntegralError as exc:
         raise ValueError(f"point is not w-integral: {exc}") from exc
-    n = divisor_order(jac_p, jac_p.embed(reduced))
-    if tower.k == 0 and _order_differs(point, curve, tower, p, n):
-        return NotTorsion()
+    walk = [(p, reduced)]
+    if tower.k == 0:
+        walk += itertools.islice(_usable_primes(point, curve, tower, p), REFUTING_PRIMES)
+    n = None
+    for q, image in sorted(walk, key=lambda step: step[0]):
+        jac = Jacobian.over_prime_field(curve, q)
+        D = jac.embed(image)
+        if n is None:
+            n, q0 = divisor_order(jac, D), q
+            continue
+        if jac.mul(n, D) != jac.identity:
+            return NotTorsion(f"reduced order {n} mod {q0}, but {n}*D != 0 mod {q}")
+        for l, _ in _prime_powers(n):
+            if jac.mul(n // l, D) == jac.identity:
+                return NotTorsion(f"reduced order {n} mod {q0}, but {n // l}*D = 0 mod {q}")
     return _exact_verdict(jac_f, point, n)
 
 
-def _order_differs(
-    point: CurvePoint, curve: HyperellipticCurve, tower: TowerSpec, p: int, n: int
-) -> bool:
-    """Whether P - infinity, a point over Q, has a reduced order other than n
-    at one of the first REFUTING_PRIMES odd primes q != p of good reduction
-    at which P is q-integral; the finitely many other primes are skipped,
-    never used.  ord(D_q) != n is tested as n*D_q != 0 or (n/l)*D_q = 0 for
-    a prime l | n: 1 + omega(n) calls to `mul` over F_q, and no point
-    count."""
-    usable, q = 0, 1
-    while usable < REFUTING_PRIMES:
-        q += 2
+def _usable_primes(point: CurvePoint, curve: HyperellipticCurve, tower: TowerSpec, p: int):
+    """(q, P mod q) for the odd primes q != p of good reduction at which P,
+    a point over the tower Q, is q-integral, in ascending order; the
+    finitely many other primes are skipped, never used."""
+    for q in itertools.count(3, 2):
         if q == p or not is_prime(q) or not has_good_reduction(curve, q):
             continue
         try:
             reduced = reduce_point(point, curve, split_places(tower, q)[0])
         except NonIntegralError:
             continue
-        jac = Jacobian.over_prime_field(curve, q)
-        D = jac.embed(reduced)
-        if jac.mul(n, D) != jac.identity or any(
-            jac.mul(n // l, D) == jac.identity for l, _ in _prime_powers(n)
-        ):
-            return True
-        usable += 1
-    return False
+        yield q, reduced
 
 
 def _exact_verdict(jac: Jacobian, point: CurvePoint, n: int) -> TorsionVerdict:

@@ -10,7 +10,9 @@ giant-step over the generic Hasse-Weil interval and over the narrowed one,
 the narrowed search recovering from its first match with plain `mul`, and
 from a second match over the whole interval,
 enumerated Jacobian orders, the exact n*D = 0 built in full,
-B + D = -B by building B + D, and the two-pass Weierstrass family check)."""
+B + D = -B by building B + D, the torsion decision with n found at p and
+each other reduced order found by its own search, and the two-pass
+Weierstrass family check)."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import random
 from fractions import Fraction
 
 from tpe.algebra import (
+    NonIntegralError,
     Poly,
     QQ,
     is_prime,
@@ -27,14 +30,25 @@ from tpe.algebra import (
     small_divisors,
     splits_completely_mod_p,
 )
-from tpe.curve import AFFINE, CurvePoint, ReducedPoint, is_weierstrass
+from tpe.curve import (
+    AFFINE,
+    CurvePoint,
+    ReducedPoint,
+    has_good_reduction,
+    is_weierstrass,
+    reduce_point,
+)
 from tpe.jacobian import (
     Jacobian,
     MumfordDivisor,
+    NotTorsion,
+    _exact_verdict,
     class_group_bound,
     class_group_interval,
     class_group_interval_from_count,
+    divisor_order,
 )
+from tpe.tower import TowerSpec, split_places
 
 
 def qp(*coeffs) -> Poly:
@@ -457,6 +471,42 @@ def second_match_reference(jac: Jacobian, D) -> dict:
         giant = jac.add(giant, step)
     assert m1 is not None, "no multiple of the order within the narrowed interval"
     return {**out, "m1": m1, "m": m, "order": order_dividing_reference(jac, D, m)}
+
+
+def reduced_orders_reference(point: CurvePoint, curve, p: int) -> dict[int, int]:
+    """{q: order of P - infinity mod q} for p and the first two odd primes
+    q != p of good reduction at which P, a point over Q, is q-integral (the
+    primes torsion_decide consults), each order found by `divisor_order`."""
+    q_tower = TowerSpec()
+
+    def order_at(q: int) -> int:
+        jac = Jacobian.over_prime_field(curve, q)
+        reduced = reduce_point(point, curve, split_places(q_tower, q)[0])
+        return divisor_order(jac, jac.embed(reduced))
+
+    orders = {p: order_at(p)}
+    q = 1
+    while len(orders) < 3:
+        q += 2
+        if q == p or not is_prime(q) or not has_good_reduction(curve, q):
+            continue
+        try:
+            orders[q] = order_at(q)
+        except NonIntegralError:
+            continue
+    return orders
+
+
+def torsion_decide_reference(point: CurvePoint, curve, p: int, height_ceiling=None):
+    """torsion_decide for a point over Q as it stood with n found at p: the
+    class is refuted when its reduced order at one of the first two usable
+    primes q != p is not n, its reduced order at p, and goes to the exact
+    check with n otherwise."""
+    orders = reduced_orders_reference(point, curve, p)
+    n = orders[p]
+    if any(order != n for order in orders.values()):
+        return NotTorsion()
+    return _exact_verdict(Jacobian.over_q(curve, height_ceiling), point, n)
 
 
 def mumford_classes(f: list[int], p: int, genus: int) -> list[tuple[list[int], list[int]]]:

@@ -386,6 +386,27 @@ def test_successive_calls_share_no_parser_state(capsys, tmp_path):
     assert code == 0 and json.loads(out)["verdict"] == "not_torsion"
 
 
+def test_torsion_text_names_the_check_that_refuted(capsys, tmp_path):
+    """A refutation by reduced orders names the primes and the check; one by
+    the exact multiple keeps its words; the --json payload is the verdict
+    alone either way."""
+    quintic = write(tmp_path, "quintic.json", {"f": [3, 1, 0, 0, 0, 1]})
+    q = write(tmp_path, "q.json", {"generators": []})
+    argv = ["torsion", "--curve", quintic, "--point", '{"type":"affine","x":-1,"y":1}',
+            "--tower", q, "--p", "1000000007"]
+    assert run(capsys, argv) == (
+        0, "not torsion (reduced order 6 mod 3, but 6*D != 0 mod 1000000007)\n", ""
+    )
+    assert run(capsys, argv + ["--json"]) == (0, '{"verdict":"not_torsion"}\n', "")
+    curve = write(tmp_path, "curve.json", {"f": [-4, 0, 0, 0, 0, 1]})
+    tower = write(
+        tmp_path, "tower.json", {"generators": [{"name": "r", "relation": [-239, 0, 1]}]}
+    )
+    argv = ["torsion", "--curve", curve, "--point",
+            '{"type":"affine","x":3,"y":[[[1],1]]}', "--tower", tower, "--p", "7"]
+    assert run(capsys, argv) == (0, "not torsion (exact multiple is nonzero)\n", "")
+
+
 def test_torsion_json_at_a_prime_that_does_not_split(capsys, tmp_path):
     curve = write(tmp_path, "curve.json", {"f": [-4, 0, 0, 0, 0, 1]})
     tower = write(

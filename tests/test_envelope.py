@@ -289,6 +289,20 @@ def test_cantor_checked_certificate_passes_on_true_torsion():
     assert not verify_certificate(entry, doc, None).ok  # no place
 
 
+def test_cantor_checked_refutation_names_the_reduced_orders():
+    """A point over Q refuted by its reduced orders is reported with the
+    primes and the check that decided, not as an exact multiple."""
+    doc = dataclasses.replace(simple_cd_doc(9), curve=make_curve(qp(3, 1, 0, 0, 0, 1)))
+    entry = PointEntry(
+        CurvePoint.affine(QTRIV.rational(-1), QTRIV.rational(1)), CantorCheckedCert(144)
+    )
+    res = verify_certificate(entry, doc, split_places(QTRIV, 11)[0])
+    assert not res.ok
+    assert res.detail == (
+        "refuted: the class is not torsion (reduced order 6 mod 3, but 6*D != 0 mod 11)"
+    )
+
+
 def test_membership_checked_first():
     doc = simple_cd_doc(9)
     off_curve = PointEntry(

@@ -27,7 +27,9 @@ from conftest import (
     narrowed_order,
     qp,
     random_reduced_class,
+    reduced_orders_reference,
     second_match_reference,
+    torsion_decide_reference,
 )
 from tpe.algebra import (
     QQ,
@@ -56,7 +58,6 @@ from tpe.jacobian import (
     Undecidable,
     _adds_to_neg,
     _exact_verdict,
-    _order_differs,
     class_group_bound,
     class_group_interval,
     class_group_interval_from_count,
@@ -65,6 +66,7 @@ from tpe.jacobian import (
     torsion_decide,
 )
 from tpe.tower import ResidueAssignment, TowerElement, TowerSpec, split_places
+import tpe.curve as curve_module
 import tpe.jacobian as jacobian_module
 
 C9 = make_curve(qp(9, 0, 0, 0, 0, 1))
@@ -923,6 +925,45 @@ ORDER7_CURVE = make_curve(qp(Fraction(1, 4), 0, 0, -1, -1, -1))  # y^2 = -x^5 - 
 ORDER7_POINT = CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(Fraction(1, 2)))
 
 
+def _spy_on_searches_and_counts(monkeypatch):
+    """The primes that `divisor_order` and the point count `_point_count`
+    see, in call order."""
+    searched, counted = [], []
+    count = jacobian_module._point_count
+
+    def counting(curve, p):
+        counted.append(p)
+        return count(curve, p)
+
+    def searching(jac, D):
+        searched.append(jac.field.p)
+        return divisor_order(jac, D)
+
+    monkeypatch.setattr(jacobian_module, "_point_count", counting)
+    monkeypatch.setattr(curve_module, "_point_count", counting)
+    monkeypatch.setattr(jacobian_module, "divisor_order", searching)
+    return searched, counted
+
+
+WALK_PRIMES = (*filter(is_prime, range(3, 48, 2)), 101, 1009)
+
+
+def _assert_walk_matches_the_search_at_p(monkeypatch, point, curve, p, ceiling=None):
+    """torsion_decide at p gives the verdict of the reference that finds n
+    at p; its one order search and its one point count run at the smallest
+    prime the reference consults, and a certified order is the reduced
+    order at p."""
+    with monkeypatch.context() as patch:
+        searched, counted = _spy_on_searches_and_counts(patch)
+        verdict = torsion_decide(point, curve, QTRIV, p, split_places(QTRIV, p)[0], ceiling)
+    orders = reduced_orders_reference(point, curve, p)
+    assert verdict == torsion_decide_reference(point, curve, p, ceiling), (curve, point, p)
+    assert searched == counted == [min(orders)], (curve, point, p)
+    if isinstance(verdict, CertifiedTorsion):
+        assert verdict.order == orders[p]
+    return verdict
+
+
 @pytest.mark.parametrize(
     "point, curve, n",
     [
@@ -933,64 +974,101 @@ ORDER7_POINT = CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(Fraction(1, 2
     ],
     ids=["order5", "weierstrass", "infinity", "order7"],
 )
-def test_reduced_orders_never_refute_a_torsion_class(point, curve, n):
+def test_reduced_orders_never_refute_a_torsion_class(monkeypatch, point, curve, n):
     """Reduction is injective on torsion at every odd prime of good
     reduction, so the reduced orders at other primes never refute a torsion
-    class: at every odd p <= 47 where torsion_decide accepts the input it
-    certifies the order.  The order-7 curve is f = (A^2 - x^7)/t^2 with
-    t = x - 1 and A = 1 + (7/2)t + 3t^2 + t^3, and P = (0, A(0)/t(0))
-    = (0, 1/2)."""
+    class: at every odd p <= 47 and at p = 101 and 1009 where torsion_decide
+    accepts the input it certifies the order, which it finds at the
+    smallest usable prime and which is the reduced order at p.  The order-7
+    curve is f = (A^2 - x^7)/t^2 with t = x - 1 and
+    A = 1 + (7/2)t + 3t^2 + t^3, and P = (0, A(0)/t(0)) = (0, 1/2)."""
     accepted = 0
-    for p in range(3, 48, 2):
-        if not is_prime(p) or not has_good_reduction(curve, p):
+    for p in WALK_PRIMES:
+        if not has_good_reduction(curve, p):
             continue
-        place = split_places(QTRIV, p)[0]
-        assert torsion_decide(point, curve, QTRIV, p, place) == CertifiedTorsion(n), p
+        verdict = _assert_walk_matches_the_search_at_p(monkeypatch, point, curve, p)
+        assert verdict == CertifiedTorsion(n), p
         accepted += 1
-    assert accepted >= 10
+    assert accepted >= 12
+
+
+def _seeded_points_over_q(genus):
+    """Seeded small-height points over Q on random curves of the given
+    genus, each with a random prime p < 30 of good reduction."""
+    rng = random.Random(271 + genus)
+    while True:
+        curve, _, point = _curve_through_a_point(rng, genus, 1, False)
+        p = rng.choice([q for q in range(3, 30) if is_prime(q) and has_good_reduction(curve, q)])
+        yield curve, point, p
 
 
 @pytest.mark.parametrize("genus", (2, 3))
 def test_refutations_from_other_primes_agree_with_the_full_multiple(genus):
     """On seeded small-height points over Q on random curves, every class
-    that the reduced orders at other primes refute with n <= 150 has
-    n*D != 0 when n*D is built in full over Q, and torsion_decide refutes
-    it; classes the step lets through are left to the exact check."""
-    rng = random.Random(271 + genus)
+    whose reduced orders at p and the two other usable primes differ, with
+    n <= 150 at p, has n*D != 0 when n*D is built in full over Q, and
+    torsion_decide refutes it; classes whose orders agree are left to the
+    exact check."""
     refuted = 0
-    while refuted < 8:
-        curve, _, point = _curve_through_a_point(rng, genus, 1, False)
-        p = rng.choice([q for q in range(3, 30) if is_prime(q) and has_good_reduction(curve, q)])
-        place = split_places(QTRIV, p)[0]
-        jp = Jacobian.over_prime_field(curve, p)
-        n = divisor_order(jp, jp.embed(reduce_point(point, curve, place)))
-        if n > 150 or not _order_differs(point, curve, QTRIV, p, n):
+    for curve, point, p in _seeded_points_over_q(genus):
+        if refuted == 8:
+            break
+        orders = reduced_orders_reference(point, curve, p)
+        n = orders[p]
+        if n > 150 or len(set(orders.values())) == 1:
             continue
         jq = Jacobian.over_q(curve)
         assert not exact_multiple_is_zero(jq, n, jq.embed(point)), (curve, point, p)
-        assert torsion_decide(point, curve, QTRIV, p, place) == NotTorsion()
+        assert torsion_decide(point, curve, QTRIV, p, split_places(QTRIV, p)[0]) == NotTorsion()
         refuted += 1
+
+
+@pytest.mark.parametrize("genus", (2, 3))
+def test_walk_agrees_with_the_search_at_p_on_seeded_points(monkeypatch, genus):
+    """On the first seeded points of
+    test_refutations_from_other_primes_agree_with_the_full_multiple, at every
+    good odd p <= 47 and at p = 101 and 1009, torsion_decide gives the
+    reference's verdict (a 40-digit ceiling bounds the exact checks of both
+    sides, which run with the same n)."""
+    for curve, point, _ in itertools.islice(_seeded_points_over_q(genus), 6):
+        for p in WALK_PRIMES:
+            if has_good_reduction(curve, p):
+                _assert_walk_matches_the_search_at_p(monkeypatch, point, curve, p, 40)
+
+
+@pytest.mark.parametrize("p", [1009, 10**9 + 7])
+def test_no_count_or_search_at_p_when_a_smaller_prime_is_usable(monkeypatch, p):
+    """The quintic class has order 6 mod 3, its smallest usable prime: the
+    one search and the one point count run there, never at p, and p
+    refutes the order with 6*D_p != 0.  The reason names that check."""
+    searched, counted = _spy_on_searches_and_counts(monkeypatch)
+    verdict = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, p, split_places(QTRIV, p)[0])
+    assert verdict == NotTorsion()
+    assert verdict.reason == f"reduced order 6 mod 3, but 6*D != 0 mod {p}"
+    assert searched == [3] and counted == [3]
 
 
 def test_order_step_skips_a_prime_where_the_point_is_not_integral(monkeypatch):
     """(1/9, 59048/243) lies on y^2 = x^5 + 59047, which has good reduction
-    at 3: the step skips 3 (P is not 3-integral) and 5 (bad reduction) and
-    reduces P at 11 first, and it refutes the class as n*D does."""
+    at 3: at p = 7 the walk skips 3 (P is not 3-integral) and 5 (bad
+    reduction), so the order search and the point count run at p itself,
+    and 11 refutes the class as n*D does."""
     curve = make_curve(qp(59047, 0, 0, 0, 0, 1))
     point = CurvePoint.affine(QTRIV.rational(Fraction(1, 9)), QTRIV.rational(Fraction(59048, 243)))
     assert has_good_reduction(curve, 3) and not has_good_reduction(curve, 5)
-    place = split_places(QTRIV, 7)[0]
-    j7 = Jacobian.over_prime_field(curve, 7)
-    n = divisor_order(j7, j7.embed(reduce_point(point, curve, place)))
+    searched, counted = _spy_on_searches_and_counts(monkeypatch)
     built = []
     over_prime_field = Jacobian.over_prime_field
     monkeypatch.setattr(
         Jacobian, "over_prime_field",
         classmethod(lambda cls, c, q: built.append(q) or over_prime_field(c, q)),
     )
-    assert _order_differs(point, curve, QTRIV, 7, n)
-    assert built[0] == 11 and not {3, 5} & set(built)
+    verdict = torsion_decide(point, curve, QTRIV, 7, split_places(QTRIV, 7)[0])
     monkeypatch.undo()
+    assert searched == [7] and counted == [7] and built == [7, 11]
+    n = reduced_orders_reference(point, curve, 7)[7]
+    assert verdict == NotTorsion() and verdict.reason.startswith(f"reduced order {n} mod 7, ")
+    assert verdict.reason.endswith(" mod 11")
     jq = Jacobian.over_q(curve)
     assert n <= 150 and not exact_multiple_is_zero(jq, n, jq.embed(point))
 
@@ -998,11 +1076,10 @@ def test_order_step_skips_a_prime_where_the_point_is_not_integral(monkeypatch):
 @pytest.mark.parametrize("p, n", [(5, 6), (11, 144), (101, 5989), (1009, 72051)])
 def test_quintic_class_refuted_without_an_exact_multiple(monkeypatch, p, n):
     """The quintic class is refuted under a one-digit ceiling with no Cantor
-    addition over Q.  At p = 5 its reduced order 6 is also the one at 3, and
-    the second prime, 7 (not p itself), refutes with order 81.  At p = 11
-    the order 6 at 3 divides n = 144, so (n/2)*D_3 = 0 refutes; at p = 101
-    and 1009, where the exact half multiples ran past 100 s, n*D_3 != 0
-    does."""
+    addition over Q.  Its order 6 is found at 3.  At p = 5 the reduced order
+    is 6 too, and the next usable prime, 7 (not p itself), refutes with
+    order 81; at p = 11, 101 and 1009, where the exact half multiples ran
+    past 100 s, 6*D_p != 0 refutes at p."""
     place = split_places(QTRIV, p)[0]
     jp = Jacobian.over_prime_field(QUINTIC, p)
     assert divisor_order(jp, jp.embed(reduce_point(QUINTIC_POINT, QUINTIC, place))) == n
@@ -1015,8 +1092,24 @@ def test_quintic_class_refuted_without_an_exact_multiple(monkeypatch, p, n):
         return add(self, D1, D2)
 
     monkeypatch.setattr(Jacobian, "add", counting_add)
-    assert torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, p, place, height_ceiling=1) == NotTorsion()
+    verdict = torsion_decide(QUINTIC_POINT, QUINTIC, QTRIV, p, place, height_ceiling=1)
+    assert verdict == NotTorsion() and verdict.reason.endswith(f" mod {7 if p == 5 else p}")
     assert not exact
+
+
+def test_walk_refutes_a_reduced_order_that_divides_n(monkeypatch):
+    """(3, 4) on y^2 = x^5 + 2x^4 + 3x^3 + 3x^2 + 2x - 503 has reduced order
+    36 mod 5, its smallest usable prime, and 12 mod 7: 36*D_7 = 0, so only
+    (36/3)*D_7 = 0 refutes it, at every p from 7 to 1009, with no exact
+    multiple under a one-digit ceiling; the full 36*D over Q is nonzero."""
+    curve = make_curve(qp(-503, 2, 3, 3, 2, 1))
+    point = CurvePoint.affine(QTRIV.rational(3), QTRIV.rational(4))
+    assert reduced_orders_reference(point, curve, 7) == {7: 12, 5: 36, 11: 163}
+    for p in (7, 11, 101, 1009):
+        verdict = _assert_walk_matches_the_search_at_p(monkeypatch, point, curve, p, 1)
+        assert verdict.reason == "reduced order 36 mod 5, but 12*D = 0 mod 7", p
+    jq = Jacobian.over_q(curve)
+    assert not exact_multiple_is_zero(jq, 36, jq.embed(point))
 
 
 def _random_poly(rng, degree, lead):
