@@ -17,8 +17,7 @@ import json
 import sys
 
 from tpe import docio
-from tpe.algebra import PrimeField
-from tpe.curve import count_points_mod_p, make_curve
+from tpe.curve import make_curve, reduce_curve
 from tpe.docio import DocumentError, dumps_canonical
 from tpe.envelope import TPEDocument, theorem_conclusion, verify_tpe
 from tpe.families import (
@@ -215,14 +214,12 @@ def _load_curve(path):
 
 def cmd_count(args) -> int:
     curve = _load_curve(args.curve)
-    PrimeField(args.p)  # a p that is not an odd prime is malformed input (exit 3)
-    try:
-        n = count_points_mod_p(curve, args.p)
-    except ValueError as exc:  # bad reduction at p
-        _emit(args, {"error": str(exc)}, f"inapplicable: {exc}")
+    red = reduce_curve(curve, args.p)  # a p that is not an odd prime is malformed input (exit 3)
+    if red.reason:
+        _emit(args, {"error": red.reason}, f"inapplicable: {red.reason}")
         return EXIT_INAPPLICABLE
-    payload = {"curve": docio.poly_to_obj(curve.f), "p": args.p, "count": n}
-    _emit(args, payload, f"#C(F_{args.p}) = {n}")
+    payload = {"curve": docio.poly_to_obj(curve.f), "p": args.p, "count": red.count}
+    _emit(args, payload, f"#C(F_{args.p}) = {red.count}")
     return EXIT_OK
 
 
@@ -232,8 +229,9 @@ def cmd_torsion(args) -> int:
         tower = docio.tower_from_obj(json.load(fh))
     point = docio.point_from_obj(json.loads(args.point), tower)
     places = split_places(tower, args.p)
-    if not places:
-        reason = f"p = {args.p} does not split completely"
+    no_split = f"p = {args.p} does not split completely"
+    reason = reduce_curve(curve, args.p).reason if places else no_split
+    if reason:
         _emit(args, {"verdict": "inapplicable", "reason": reason}, f"inapplicable: {reason}")
         return EXIT_INAPPLICABLE
     index = args.place if args.place is not None else 0

@@ -3,18 +3,18 @@
 Odd models (deg f = 2g+1) have a single point at infinity, which is a
 Weierstrass point; even models (deg f = 2g+2) have two, distinguished by the
 two square roots of the leading coefficient, and both are non-Weierstrass.
-Good reduction at p is certified by the sufficient criterion
-p does not divide 2 * lc(f) * disc(f), decided in F_p: when f is p-integral
-and f mod p keeps the degree of f (p does not divide lc(f)),
-disc(f mod p) = disc(f) mod p.  Whether p is an odd prime, and whether a
-coefficient is p-integral, is decided by `PrimeField` (through
-`reduce_poly_mod_p`), never here.
+Every fact about C mod p is read off one value, `CurveModP`, built once per
+(curve, p) by `reduce_curve`.  Good reduction is certified by the
+sufficient criterion p does not divide 2 * lc(f) * disc(f), decided in F_p.
+Whether p is an odd prime, and whether a coefficient is p-integral, is
+decided by `PrimeField`, never here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from tpe.algebra import (
     NonIntegralError,
@@ -25,7 +25,6 @@ from tpe.algebra import (
     is_squarefree,
     legendre_symbol,
     poly_str,
-    reduce_poly_mod_p,
     values_mod_p,
 )
 from tpe.tower import ResidueAssignment, TowerElement, reduce_element
@@ -79,60 +78,70 @@ def make_curve(f: Poly, allow_low_genus: bool = False) -> HyperellipticCurve:
     )
 
 
-def _good_reduction(curve: HyperellipticCurve, p: int) -> tuple[Poly, int] | None:
-    """(f mod p, disc(f mod p)) if C has good reduction at p
-    (`has_good_reduction`), else None."""
+@dataclass(frozen=True)
+class CurveModP:
+    """C mod p, built once per (curve, p) by `reduce_curve`: the field,
+    f mod p (`fp`, None when f is not p-integral) and disc(f mod p) (0 when
+    f mod p loses the degree of f).  `count`, #C(F_p) = sum over x of
+    1 + legendre(f(x)) plus the points at infinity, and `roots`, the roots
+    of f mod p in ascending order, come from one pass on first use (two
+    threads may both count, with one result) and refuse bad reduction with
+    ValueError."""
+
+    curve: HyperellipticCurve
+    field: PrimeField
+    fp: Poly | None
+    disc: int
+
+    @property
+    def p(self) -> int:
+        return self.field.p
+
+    @property
+    def f(self) -> Poly:  # coerce raises its NonIntegralError again for no fp
+        return self.fp if self.fp is not None else self.curve.f.map_domain(self.field)
+
+    @property
+    def reason(self) -> str | None:
+        return None if self.disc else f"bad reduction at {self.p}"
+
+    @cached_property
+    def _counted(self) -> tuple[int, tuple[int, ...]]:
+        if self.reason:
+            raise ValueError(self.reason)
+        p, fp = self.p, self.fp
+        symbols = [legendre_symbol(v, p) for v in values_mod_p(fp, range(p))]
+        infinity = 1 if self.curve.odd_model else 1 + legendre_symbol(fp.leading, p)
+        return p + sum(symbols) + infinity, tuple(x for x, s in enumerate(symbols) if not s)
+
+    @property
+    def count(self) -> int:
+        return self._counted[0]
+
+    @property
+    def roots(self) -> tuple[int, ...]:
+        return self._counted[1]
+
+
+def reduce_curve(curve: HyperellipticCurve, p: int) -> CurveModP:
+    """C mod p; PrimeField refuses a p that is not an odd prime.  Once f mod p
+    keeps the degree of f, disc(f mod p) = disc(f) mod p, also for p | deg f."""
+    field = PrimeField(p)
     try:
-        fp = reduce_poly_mod_p(curve.f, p)
+        fp = curve.f.map_domain(field)
     except NonIntegralError:
-        return None
-    if fp.degree == curve.degree:
-        disc = discriminant(fp)
-        if disc:
-            return fp, disc
-    return None
+        return CurveModP(curve, field, None, 0)
+    return CurveModP(curve, field, fp, discriminant(fp) if fp.degree == curve.degree else 0)
 
 
 def has_good_reduction(curve: HyperellipticCurve, p: int) -> bool:
-    """Sufficient criterion: f p-integral, p | neither lc(f) nor disc(f).
-
-    A p that is not an odd prime is refused with PrimeField's ValueError, and
-    a coefficient that is not p-integral (PrimeField.coerce raises
-    NonIntegralError) gives False.  The discriminant is taken in F_p: once
-    f mod p keeps the degree of f, disc(f mod p) = disc(f) mod p; the
-    formal-degree factor in `discriminant` keeps this true when p | deg f.
-    """
-    return _good_reduction(curve, p) is not None
+    """Sufficient criterion: f p-integral, p | neither lc(f) nor disc(f)."""
+    return reduce_curve(curve, p).reason is None
 
 
 def count_points_mod_p(curve: HyperellipticCurve, p: int) -> int:
-    """#C(F_p) of the reduced curve, including points at infinity; the one
-    point count.  Bad reduction is refused with ValueError.
-
-    Sum over x of 1 + legendre(f(x)) counts the affine points; the infinity
-    contribution is 1 on odd models and 2 or 0 on even models according to
-    whether lc(f) is a square mod p.  The same pass (`_point_count`) also
-    yields the number of roots of f mod p, the x with f(x) = 0, and the
-    good-reduction test yields disc(f mod p); `Jacobian` reads all three
-    from that one pass.
-    """
-    return _point_count(curve, p)[0]
-
-
-def _point_count(curve: HyperellipticCurve, p: int) -> tuple[int, int, int]:
-    """(#C(F_p), the number of roots of f mod p, disc(f mod p)) from one pass
-    over the values of f mod p (`count_points_mod_p`)."""
-    good = _good_reduction(curve, p)
-    if good is None:
-        raise ValueError(f"bad reduction at {p}")
-    fp, disc = good
-    symbols = [legendre_symbol(v, p) for v in values_mod_p(fp, range(p))]
-    total = p + sum(symbols)
-    if curve.odd_model:
-        total += 1
-    else:
-        total += 2 if legendre_symbol(fp.leading, p) == 1 else 0
-    return total, symbols.count(0), disc
+    """#C(F_p); bad reduction is refused with ValueError."""
+    return reduce_curve(curve, p).count
 
 
 @dataclass(frozen=True)
@@ -229,17 +238,20 @@ class ReducedPoint:
 
 def reduce_point(
     point: CurvePoint,
-    curve: HyperellipticCurve,
+    curve: HyperellipticCurve | CurveModP,
     w: ResidueAssignment,
     sqrt_lc: TowerElement | None = None,
 ) -> ReducedPoint:
-    """Coordinate-wise reduction at the place w.
+    """Coordinate-wise reduction at the place w, on C mod w.p or a curve.
 
     Even-model infinities need the declared square root of lc(f) to pick the
     correct branch mod p.  Raises NonIntegralError when a coordinate is not
     w-integral, and refuses reduced points that violate the reduced equation.
     """
-    p = w.p
+    red = curve if isinstance(curve, CurveModP) else reduce_curve(curve, w.p)
+    curve, p = red.curve, red.p
+    if w.p != p:
+        raise ValueError(f"the place lies over {w.p}, the reduction at {p}")
     if point.kind == INF:
         if not curve.odd_model:
             raise ValueError("odd-model infinity on an even-model curve")
@@ -250,14 +262,13 @@ def reduce_point(
         if sqrt_lc is None:
             raise ValueError("even-model infinity needs a declared sqrt of lc(f)")
         wbar = reduce_element(sqrt_lc, w)
-        if wbar * wbar % p != PrimeField(p).coerce(curve.leading):
+        if wbar * wbar % p != red.field.coerce(curve.leading):
             raise ValueError("declared sqrt of lc(f) fails mod p")
         if point.kind == INF_MINUS:
             wbar = (-wbar) % p
         return ReducedPoint(point.kind, winf=wbar)
     xb = reduce_element(point.x, w)
     yb = reduce_element(point.y, w)
-    fp = reduce_poly_mod_p(curve.f, p)
-    if (yb * yb - values_mod_p(fp, [xb])[0]) % p != 0:
+    if (yb * yb - values_mod_p(red.f, [xb])[0]) % p != 0:
         raise ValueError("reduced point violates the reduced curve equation")
     return ReducedPoint(AFFINE, x=xb, y=yb)

@@ -23,22 +23,20 @@ from tpe.algebra import (
     Poly,
     exact_sqrt,
     rational_roots,
-    reduce_poly_mod_p,
-    roots_mod_p,
-    splits_completely_mod_p,
+    values_mod_p,
 )
 from tpe.curve import (
     AFFINE,
     INF,
     INF_MINUS,
     INF_PLUS,
+    CurveModP,
     CurvePoint,
     HyperellipticCurve,
     ReducedPoint,
-    count_points_mod_p,
-    has_good_reduction,
     is_weierstrass,
     on_curve,
+    reduce_curve,
     reduce_point,
 )
 from tpe.jacobian import CertifiedTorsion, NotTorsion, torsion_decide
@@ -239,11 +237,12 @@ def verify_certificate(
     place: ResidueAssignment | None = None,
     index: int = 0,
     height_ceiling: int | None = None,
+    reduction: CurveModP | None = None,
 ) -> EntryResult:
-    """Check one entry's torsion certificate against the document."""
+    """Check one entry's torsion certificate; a family reads C mod p off `reduction`."""
     curve, tower = doc.curve, doc.tower
     if isinstance(entry, WeierstrassFamilyEntry):
-        return _verify_family(entry, doc, index)
+        return _verify_family(entry, doc, index, reduction)
 
     point, cert = entry.point, entry.certificate
     kind = type(cert).__name__
@@ -345,7 +344,7 @@ def _verify_principal(
 
 
 def _verify_family(
-    entry: WeierstrassFamilyEntry, doc: TPEDocument, index: int
+    entry: WeierstrassFamilyEntry, doc: TPEDocument, index: int, red: CurveModP | None
 ) -> EntryResult:
     kind = "WeierstrassFamilyEntry"
     h, curve = entry.h, doc.curve
@@ -356,16 +355,15 @@ def _verify_family(
     if refusal := _weierstrass_base_refusal(doc, index, kind):
         return refusal
     try:  # PrimeField refuses a bad p, coerce a non-p-integral h
-        hp = reduce_poly_mod_p(h, doc.p)
+        red = red or reduce_curve(curve, doc.p)
+        hp = h.map_domain(red.field)
+        if hp.degree != h.degree:
+            raise ValueError("leading coefficient divisible by p")
     except ValueError as exc:
         return EntryResult(index, kind, False, f"splitting test failed: {exc}")
-    if hp.degree != h.degree:
-        return EntryResult(
-            index, kind, False,
-            "splitting test failed: leading coefficient divisible by p",
-        )
-    # h mod p splits into distinct linear factors iff it has deg h roots
-    roots = roots_mod_p(hp)
+    # deg h distinct roots split h mod p; on good reduction h | f mod p
+    candidates = range(red.p) if red.reason else red.roots
+    roots = [r for r, v in zip(candidates, values_mod_p(hp, candidates)) if not v]
     if len(roots) != h.degree:
         return EntryResult(
             index, kind, False,
@@ -412,21 +410,19 @@ def verify_tpe(
     chosen_index = None
     ok2, det2 = True, ""
     places: list[ResidueAssignment] = []
-    try:  # PrimeField's odd-prime test reports a bad p here
+    red = None  # C mod p, which every check of C mod p reads; None for a bad p
+    try:
+        red = reduce_curve(curve, p)
         places = split_places(tower, p)
     except ValueError as exc:
         ok2, det2 = False, str(exc)
     if ok2 and not places:
         ok2, det2 = False, f"p = {p} does not split completely in the tower"
-    if ok2 and doc.field_attestation is not None:
-        try:
-            if not splits_completely_mod_p(curve.f, p):
-                ok2, det2 = False, (
-                    "attested field: f does not split into distinct "
-                    f"linear factors mod {p}"
-                )
-        except ValueError as exc:
-            ok2, det2 = False, f"attested field: {exc}"
+    # an attested field splits when f mod p has deg f roots (squarefree: good reduction)
+    if ok2 and doc.field_attestation is not None and (
+        red.reason or len(red.roots) != curve.degree
+    ):
+        ok2, det2 = False, f"attested field: f does not split into distinct linear factors mod {p}"
     if ok2:
         if place_index is not None:
             if not 0 <= place_index < len(places):
@@ -459,14 +455,11 @@ def verify_tpe(
     )
 
     # (3) good reduction at p
-    try:
-        ok3 = has_good_reduction(curve, p)
-        det3 = (
-            f"p divides neither lc(f) nor disc(f)" if ok3
-            else f"p = {p} divides lc(f) or disc(f) (or f is not p-integral)"
-        )
-    except ValueError as exc:
-        ok3, det3 = False, str(exc)
+    ok3 = red is not None and red.reason is None
+    det3 = det2 if red is None else (
+        "p divides neither lc(f) nor disc(f)" if ok3
+        else f"p = {p} divides lc(f) or disc(f) (or f is not p-integral)"
+    )
     conditions.append(ConditionResult("good-reduction", ok3, det3, {"p": p}))
 
     # (4) base point and per-entry torsion certificates; T is counted on the
@@ -484,7 +477,7 @@ def verify_tpe(
         ok4 = False
         det4_parts.append("base point is not Q-rational")
     for i, entry in enumerate(doc.entries):
-        res = verify_certificate(entry, doc, place, i, height_ceiling)
+        res = verify_certificate(entry, doc, place, i, height_ceiling, red)
         entry_results.append(res)
         if not res.ok:
             ok4 = False
@@ -507,7 +500,7 @@ def verify_tpe(
 
     # (5) #T >= #C(F_p)
     t_count = len(explicit) + family_degree
-    curve_count = count_points_mod_p(curve, p) if ok3 else None
+    curve_count = red.count if ok3 else None
     ok5 = curve_count is not None and t_count >= curve_count
     det5 = (
         f"#T = {t_count} >= #C(F_{p}) = {curve_count}" if ok5
@@ -532,7 +525,7 @@ def verify_tpe(
     else:
         try:
             for pt in explicit:
-                images.append(reduce_point(pt, curve, place, sqrt_lc))
+                images.append(reduce_point(pt, red, place, sqrt_lc))
             for res in entry_results:
                 images.extend(res.reductions)
         except ValueError as exc:

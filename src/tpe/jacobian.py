@@ -5,10 +5,9 @@ Only odd-degree (imaginary) models are supported: a reduced class is a pair
 identity is (1, 0).  The same code runs over F_p (ints), over Q (`QQ`,
 plain Fractions, also for the tower with no generator) and over a
 single-generator number field; exact runs guard against coefficient
-blow-up with a configurable digit ceiling.  A Jacobian is built from its
-curve and asks the curve module for facts about C: #C(F_p), and with it the
-refusal of bad reduction, comes from the pass of `count_points_mod_p`,
-which also yields the number of roots of f mod p and disc(f mod p).
+blow-up with a configurable digit ceiling.  A Jacobian over F_p reads
+f mod p, #C(F_p), the roots of f mod p and disc(f mod p) off C mod p
+(`curve.CurveModP`), which refuses bad reduction.
 
 Addition is one Cantor composition that skips the steps whose outcome is
 known, reads one cofactor from each xgcd and lifts v with small
@@ -45,10 +44,9 @@ V of the composition of B and D.  So its height ceiling
 bounds B and the binary prefixes of floor(n/2) built on the way, about a
 quarter of the bits of n*D.
 
-Everything is pure and immutable, except that a Jacobian over F_p caches
-#C(F_p) and the class of #J(F_p) on first use (two threads may both count
-them, with one result); an order search over F_p is internally
-sequential, but independent torsion decisions can run concurrently.
+Everything here is pure and immutable; an order search over F_p is
+internally sequential, but independent torsion decisions can run
+concurrently.
 """
 
 from __future__ import annotations
@@ -58,7 +56,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 from tpe.algebra import (
     QQ,
@@ -71,13 +69,13 @@ from tpe.algebra import (
 )
 from tpe.curve import (
     AFFINE,
+    CurveModP,
     CurvePoint,
     HyperellipticCurve,
     INF,
     ReducedPoint,
-    _point_count,
-    has_good_reduction,
     on_curve,
+    reduce_curve,
     reduce_point,
 )
 from tpe.tower import (
@@ -131,13 +129,13 @@ class MumfordDivisor:
 
 class Jacobian:
     """The divisor class group of an odd-model curve over an exact field,
-    built by `over_prime_field`, `over_tower` or `over_q`: F_p (ints), Q
-    (`QQ`, plain Fractions, also for a tower with no generator) or a
-    one-generator tower.  The one test is that f keeps its odd degree in the
-    field: it refuses even models and a p dividing lc(f)."""
+    built by `over_reduction` or `over_prime_field` (F_p, ints), `over_tower`
+    or `over_q`: Q (`QQ`, plain Fractions, also for a tower with no
+    generator) or a one-generator tower.  The one test is that f keeps its
+    odd degree in the field: it refuses even models and a p dividing lc(f)."""
 
-    def __init__(self, curve: HyperellipticCurve, field, height_ceiling: int | None = None):
-        f = curve.f.map_domain(field)
+    def __init__(self, curve: HyperellipticCurve, field, height_ceiling=None, reduction=None):
+        f = reduction.f if reduction else curve.f.map_domain(field)
         if not curve.odd_model or f.degree != curve.degree:
             raise ValueError("Cantor arithmetic needs an odd-degree model")
         self.curve = curve
@@ -145,10 +143,15 @@ class Jacobian:
         self.f = f
         self.genus = curve.genus
         self.height_ceiling = height_ceiling
+        self.reduction = reduction
 
     @classmethod
     def over_prime_field(cls, curve: HyperellipticCurve, p: int) -> "Jacobian":
-        return cls(curve, PrimeField(p))
+        return cls.over_reduction(reduce_curve(curve, p))
+
+    @classmethod
+    def over_reduction(cls, red: CurveModP) -> "Jacobian":
+        return cls(red.curve, red.field, reduction=red)
 
     @classmethod
     def over_tower(
@@ -165,23 +168,16 @@ class Jacobian:
     def over_q(cls, curve: HyperellipticCurve, height_ceiling: int | None = None):
         return cls.over_tower(curve, TowerSpec(), height_ceiling)
 
-    @cached_property
-    def _counted(self) -> tuple[int, tuple[int, int]]:
-        points, roots, disc = _point_count(self.curve, self.field.p)
-        square = legendre_symbol(disc, self.field.p) == 1
-        return points, _order_class(self.f.degree, roots, square)
-
     @property
     def curve_point_count(self) -> int:
-        """#C(F_p) over a prime field, counted on first use by the pass of
-        `count_points_mod_p`, which refuses bad reduction with ValueError."""
-        return self._counted[0]
+        """#C(F_p) over a prime field, from C mod p; bad reduction raises."""
+        return self.reduction.count
 
     @property
     def order_class(self) -> tuple[int, int]:
-        """(M, c) with #J(F_p) = c mod M, from the same pass as
-        `curve_point_count` (`_order_class`)."""
-        return self._counted[1]
+        """(M, c) with #J(F_p) = c mod M, from the roots and disc of C mod p."""
+        red = self.reduction
+        return _order_class(self.f.degree, len(red.roots), legendre_symbol(red.disc, red.p) == 1)
 
     @property
     def identity(self) -> MumfordDivisor:
@@ -396,7 +392,7 @@ def divisor_order(jac: Jacobian, D: MumfordDivisor) -> int:
     #J(F_p) = c mod M that J(F_p)[2] fixes (`Jacobian.order_class`: order
     2^(r - 1) for the r irreducible factors of f mod p, Cornelissen 2001,
     with the parity of r from the discriminant, Stickelberger and Swan
-    1962), both known once per Jacobian, hold a multiple m = c + M*K of the
+    1962), both known once per C mod p, hold a multiple m = c + M*K of the
     order.
     The search runs on E = M*D (log2 M doublings, kept as a chain) over
     K in [ceil((lo - c)/M), floor((hi - c)/M)], or with M = 1 when the
@@ -679,8 +675,8 @@ def torsion_decide(
 
     `place` must be one of `split_places(tower, p)`, which also refuses a p
     that is not an odd prime (PrimeField), a ramified p and a relation that is
-    not p-integral; good reduction is `has_good_reduction`.  Each failure is a
-    ValueError.
+    not p-integral; C mod q (`reduce_curve`), built once per prime, decides
+    good reduction.  Each failure is a ValueError.
     """
     if not curve.odd_model:
         raise ValueError("torsion decision needs an odd-degree model")
@@ -688,22 +684,23 @@ def torsion_decide(
         raise ValueError("torsion decision supports at most one generator")
     if place not in split_places(tower, p):
         raise ValueError(f"{place} is not a completely split place over p = {p}")
-    if not has_good_reduction(curve, p):
-        raise ValueError(f"bad reduction at {p}")
+    red = reduce_curve(curve, p)
+    if red.reason:
+        raise ValueError(red.reason)
     if not on_curve(point, curve):
         raise ValueError("point is not on the curve")
 
     jac_f = Jacobian.over_tower(curve, tower, height_ceiling)  # refuses a ceiling below 1
     try:
-        reduced = reduce_point(point, curve, place)
+        reduced = reduce_point(point, red, place)
     except NonIntegralError as exc:
         raise ValueError(f"point is not w-integral: {exc}") from exc
-    walk = [(p, reduced)]
+    walk = [(red, reduced)]
     if tower.k == 0:
-        walk += itertools.islice(_usable_primes(point, curve, tower, p), REFUTING_PRIMES)
+        walk += itertools.islice(_usable_primes(point, curve, p), REFUTING_PRIMES)
     n = None
-    for q, image in sorted(walk, key=lambda step: step[0]):
-        jac = Jacobian.over_prime_field(curve, q)
+    for red_q, image in sorted(walk, key=lambda step: step[0].p):
+        q, jac = red_q.p, Jacobian.over_reduction(red_q)
         D = jac.embed(image)
         if n is None:
             n, q0 = divisor_order(jac, D), q
@@ -716,18 +713,18 @@ def torsion_decide(
     return _exact_verdict(jac_f, point, n)
 
 
-def _usable_primes(point: CurvePoint, curve: HyperellipticCurve, tower: TowerSpec, p: int):
-    """(q, P mod q) for the odd primes q != p of good reduction at which P,
-    a point over the tower Q, is q-integral, in ascending order; the
+def _usable_primes(point: CurvePoint, curve: HyperellipticCurve, p: int):
+    """(C mod q, P mod q) for the odd primes q != p of good reduction at
+    which P, a point over Q, is q-integral, in ascending order; the
     finitely many other primes are skipped, never used."""
     for q in itertools.count(3, 2):
-        if q == p or not is_prime(q) or not has_good_reduction(curve, q):
+        if q == p or not is_prime(q) or (red := reduce_curve(curve, q)).reason:
             continue
         try:
-            reduced = reduce_point(point, curve, split_places(tower, q)[0])
+            reduced = reduce_point(point, red, ResidueAssignment(q, ()))
         except NonIntegralError:
             continue
-        yield q, reduced
+        yield red, reduced
 
 
 def _exact_verdict(jac: Jacobian, point: CurvePoint, n: int) -> TorsionVerdict:

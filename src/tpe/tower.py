@@ -24,7 +24,6 @@ from tpe.algebra import (
     is_squarefree,
     power,
     roots_mod_p,
-    splits_completely_mod_p,
 )
 
 
@@ -381,9 +380,10 @@ def split_places(tower: TowerSpec, p: int) -> list[ResidueAssignment]:
                 f"p = {p} divides the discriminant of the relation "
                 f"for {name!r} (ramified); rejected"
             )
-        if not splits_completely_mod_p(relation, p):
+        roots = roots_mod_p(rp)  # distinct, so deg of them split the relation
+        if len(roots) != relation.degree:
             return []
-        root_lists.append(sorted(roots_mod_p(rp)))
+        root_lists.append(roots)
     return [
         ResidueAssignment(p, combo)
         for combo in itertools.product(*root_lists)

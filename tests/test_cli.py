@@ -423,6 +423,22 @@ def test_torsion_json_at_a_prime_that_does_not_split(capsys, tmp_path):
     assert code == 2 and out == "inapplicable: p = 11 does not split completely\n"
 
 
+def test_torsion_at_a_prime_of_bad_reduction_is_inapplicable(capsys, tmp_path):
+    """5 divides disc(x^5 + 9): `tpe torsion` exits 2 with the reason that
+    C mod 5 holds, as `tpe count` does, not 3 as for malformed input."""
+    curve = write(tmp_path, "curve.json", {"f": [9, 0, 0, 0, 0, 1]})
+    tower = write(tmp_path, "tower.json", {"generators": []})
+    argv = ["torsion", "--curve", curve, "--point", '{"type":"affine","x":0,"y":3}',
+            "--tower", tower, "--p", "5"]
+    assert run(capsys, argv + ["--json"]) == (
+        2, '{"reason":"bad reduction at 5","verdict":"inapplicable"}\n', ""
+    )
+    assert run(capsys, argv) == (2, "inapplicable: bad reduction at 5\n", "")
+    assert run(capsys, ["count", "--curve", curve, "--p", "5"]) == (
+        2, "inapplicable: bad reduction at 5\n", ""
+    )
+
+
 @pytest.mark.parametrize(
     "p, message",
     [(9, "p = 9 is not an odd prime"),

@@ -2,6 +2,7 @@
 points, and reduction of points."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,24 +11,29 @@ import pytest
 from conftest import brute_force_count, brute_force_points, qp
 from tpe.algebra import (
     NonIntegralError,
+    Poly,
     PrimeField,
     cyclotomic,
     discriminant,
     is_prime,
     reduce_poly_mod_p,
     roots_mod_p,
+    splits_completely_mod_p,
 )
 from tpe.curve import (
     CurvePoint,
     ReducedPoint,
-    _point_count,
     count_points_mod_p,
     has_good_reduction,
     is_weierstrass,
     make_curve,
     on_curve,
+    reduce_curve,
     reduce_point,
 )
+from tpe.envelope import verify_tpe
+from tpe.families import generate_cd, generate_dd, generate_xpx
+from tpe.jacobian import NotTorsion, torsion_decide
 from tpe.tower import TowerSpec, split_places
 
 
@@ -145,30 +151,60 @@ def test_count_points_even_model_nonsquare_leading():
 
 
 def test_count_points_against_brute_force_oracle():
-    """count_points_mod_p and roots_mod_p against the plain-int brute force
-    over F_p^2 on seeded dense quintics and sextics; the count's own pass
-    (`_point_count`) also gives the number of those roots and disc(f mod p)."""
+    """C mod p (`reduce_curve`) against the plain-int brute force over F_p^2
+    on seeded dense quintics and sextics.  On good reduction its count and
+    root list are the brute force's, the count is count_points_mod_p's, and
+    disc is disc(f mod p) = disc(f) mod p.  At p | lc(f), at p | disc(f)
+    and for f not p-integral, on odd and even models, it holds the refusal
+    "bad reduction at p", which its count and roots raise, with disc 0."""
     rng = random.Random(43)
-    done = 0
-    while done < 60:
+    seen = Counter()
+    for _ in range(400):
         p = rng.choice([3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
         deg = rng.choice([5, 6])
         cs = [rng.randrange(-15, 16) for _ in range(deg)] + [rng.randrange(1, 10)]
         f = qp(*cs)
+        shape = rng.randrange(4)
+        if shape == 1:  # f = (x - a)^2 g mod p
+            a = rng.randrange(p)
+            f = qp(a * a, -2 * a, 1) * qp(*cs[: deg - 1]) + qp(*[p * c for c in cs[:deg]])
+        elif shape == 2:
+            f = f + qp(*[0] * deg, p * rng.randrange(1, 4) - cs[-1])  # p | lc(f)
+        elif shape == 3:
+            f = f + qp(*[0] * rng.randrange(deg), Fraction(1, p))  # not p-integral
         if f.degree != deg:
             continue
         try:
             curve = make_curve(f)
         except ValueError:
             continue
-        if not has_good_reduction(curve, p):
+        red = reduce_curve(curve, p)
+        assert red.curve == curve and red.field == PrimeField(p)
+        if any(c.denominator % p == 0 for c in f.coeffs):
+            kind = "denominator"
+            assert red.fp is None
+            with pytest.raises(NonIntegralError):
+                red.f
+        else:
+            assert red.f == red.fp == reduce_poly_mod_p(f, p)
+            kind = ("p | lc" if f.leading.numerator % p == 0
+                    else "p | disc" if discriminant(f).numerator % p == 0
+                    else "good")
+        seen[kind, deg % 2] += 1
+        if kind != "good":
+            assert red.reason == f"bad reduction at {p}" and red.disc == 0, (f, p)
+            assert not has_good_reduction(curve, p)
+            for fact in ("count", "roots"):
+                with pytest.raises(ValueError, match=f"^bad reduction at {p}$"):
+                    getattr(red, fact)
             continue
-        count, zeros = brute_force_points(dict(enumerate(cs)), p)
-        assert count_points_mod_p(curve, p) == brute_force_count(f, p) == count
-        fp = reduce_poly_mod_p(f, p)
-        assert roots_mod_p(fp) == zeros
-        assert _point_count(curve, p) == (count, len(zeros), discriminant(fp))
-        done += 1
+        count, zeros = brute_force_points({e: int(c) % p for e, c in enumerate(f.coeffs)}, p)
+        assert red.reason is None and has_good_reduction(curve, p)
+        assert red.count == count_points_mod_p(curve, p) == brute_force_count(f, p) == count
+        assert list(red.roots) == roots_mod_p(red.fp) == zeros
+        assert red.disc == discriminant(red.fp) == PrimeField(p).coerce(discriminant(f)) != 0
+    kinds = ("good", "p | lc", "p | disc", "denominator")
+    assert all(seen[kind, parity] >= 20 for kind in kinds for parity in (0, 1)), seen
 
 
 def _sparse_family_curves():
@@ -246,6 +282,10 @@ def test_reduce_point_examples():
     w11 = split_places(t, 11)[0]
     p03 = CurvePoint.affine(t.rational(0), t.rational(3))
     assert reduce_point(p03, c9, w11) == ReducedPoint("affine", x=0, y=3)
+    # C mod p in place of the curve gives the same point, and only at w.p
+    assert reduce_point(p03, reduce_curve(c9, 11), w11) == ReducedPoint("affine", x=0, y=3)
+    with pytest.raises(ValueError, match="lies over 11"):
+        reduce_point(p03, reduce_curve(c9, 13), w11)
 
 
 def test_reduce_point_non_integral():
@@ -289,3 +329,80 @@ def test_weierstrass_count_on_odd_models():
 def test_curve_equation_rendering():
     c = make_curve(qp(9, 0, 0, 0, 0, 1))
     assert c.equation() == "y^2 = x^5 + 9"
+
+
+def _spy_on_reductions(monkeypatch, f):
+    """Lists of the primes at which `PrimeField` is built, f is reduced (a
+    `Poly` over F_p built from the coefficients of f, whatever builds it)
+    and disc(f mod p) is taken (recognised by its coefficients), and of the
+    x^p splitting tests run, while the spies are installed."""
+    work = {"fields": [], "reduced": [], "disc": [], "split tests": []}
+
+    def is_f_mod_p(g):
+        p = getattr(g.field, "p", None)
+        return p is not None and list(g.coeffs) == [
+            c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs
+        ]
+
+    build, construct, disc, splits = (
+        PrimeField.__init__, Poly.__init__, discriminant, splits_completely_mod_p
+    )
+
+    def building(field, p):
+        work["fields"].append(p)
+        build(field, p)
+
+    def constructing(g, field, coeffs=()):
+        construct(g, field, coeffs)
+        if isinstance(field, PrimeField) and coeffs is f.coeffs:
+            work["reduced"].append(field.p)
+
+    def discriminating(g):
+        if is_f_mod_p(g):
+            work["disc"].append(g.field.p)
+        return disc(g)
+
+    def splitting(g, p):
+        work["split tests"].append(p)
+        return splits(g, p)
+
+    monkeypatch.setattr(PrimeField, "__init__", building)
+    monkeypatch.setattr(Poly, "__init__", constructing)
+    for name, module in list(sys.modules.items()):
+        if name == "tpe" or name.startswith("tpe."):
+            for attr, spy, original in (
+                ("discriminant", discriminating, disc),
+                ("splits_completely_mod_p", splitting, splits),
+            ):
+                if getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, spy)
+    return work
+
+
+def test_one_reduction_of_the_curve_per_prime(monkeypatch):
+    """One verify_tpe of cd d = 100, dd p = 199 and xpx p = 67 reduces f
+    (as C mod p) and takes disc(f mod p) once, builds two fields (C mod p and the split
+    places; 12 / 7 / 6 when each check built its own) and runs no x^p
+    splitting test.  One torsion_decide of the quintic class (-1, 1) at
+    p = 1009 does the same once at each of its three primes, with four
+    fields (13 before)."""
+    for doc in (generate_cd(100), generate_dd(199, 199), generate_xpx(67)):
+        with monkeypatch.context() as patch:
+            work = _spy_on_reductions(patch, doc.curve.f)
+            assert verify_tpe(doc).all_passed
+        # the dd family entry is h = f itself, which its check reduces as h
+        families = sum(getattr(entry, "h", None) is doc.curve.f for entry in doc.entries)
+        assert work["reduced"] == [doc.p] * (1 + families), (doc.p, work)
+        assert work["disc"] == [doc.p], (doc.p, work)
+        assert work["split tests"] == [] and work["fields"] == [doc.p, doc.p], (doc.p, work)
+
+    q = TowerSpec()
+    quintic = make_curve(qp(3, 1, 0, 0, 0, 1))
+    point = CurvePoint.affine(q.rational(-1), q.rational(1))
+    place = split_places(q, 1009)[0]
+    with monkeypatch.context() as patch:
+        work = _spy_on_reductions(patch, quintic.f)
+        verdict = torsion_decide(point, quintic, q, 1009, place)
+    assert verdict == NotTorsion() and verdict.reason.endswith("mod 1009")
+    assert sorted(work["reduced"]) == sorted(work["disc"]) == [3, 5, 1009], work
+    assert len(work["fields"]) == 4, work

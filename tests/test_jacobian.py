@@ -1,6 +1,7 @@
 """Cantor arithmetic: group axioms, orders, the torsion decision procedure,
 and reduction compatibility."""
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -42,6 +43,7 @@ from tpe.algebra import (
     small_divisors,
 )
 from tpe.curve import (
+    CurveModP,
     CurvePoint,
     ReducedPoint,
     count_points_mod_p,
@@ -66,7 +68,6 @@ from tpe.jacobian import (
     torsion_decide,
 )
 from tpe.tower import ResidueAssignment, TowerElement, TowerSpec, split_places
-import tpe.curve as curve_module
 import tpe.jacobian as jacobian_module
 
 C9 = make_curve(qp(9, 0, 0, 0, 0, 1))
@@ -926,21 +927,22 @@ ORDER7_POINT = CurvePoint.affine(QTRIV.rational(0), QTRIV.rational(Fraction(1, 2
 
 
 def _spy_on_searches_and_counts(monkeypatch):
-    """The primes that `divisor_order` and the point count `_point_count`
-    see, in call order."""
+    """The primes that `divisor_order` and the point-count pass of C mod p
+    (`CurveModP._counted`) see, in call order."""
     searched, counted = [], []
-    count = jacobian_module._point_count
+    count = CurveModP._counted.func
 
-    def counting(curve, p):
-        counted.append(p)
-        return count(curve, p)
+    def counting(red):
+        counted.append(red.p)
+        return count(red)
 
     def searching(jac, D):
         searched.append(jac.field.p)
         return divisor_order(jac, D)
 
-    monkeypatch.setattr(jacobian_module, "_point_count", counting)
-    monkeypatch.setattr(curve_module, "_point_count", counting)
+    spy = functools.cached_property(counting)
+    spy.__set_name__(CurveModP, "_counted")
+    monkeypatch.setattr(CurveModP, "_counted", spy)
     monkeypatch.setattr(jacobian_module, "divisor_order", searching)
     return searched, counted
 
@@ -1058,10 +1060,10 @@ def test_order_step_skips_a_prime_where_the_point_is_not_integral(monkeypatch):
     assert has_good_reduction(curve, 3) and not has_good_reduction(curve, 5)
     searched, counted = _spy_on_searches_and_counts(monkeypatch)
     built = []
-    over_prime_field = Jacobian.over_prime_field
+    over_reduction = Jacobian.over_reduction
     monkeypatch.setattr(
-        Jacobian, "over_prime_field",
-        classmethod(lambda cls, c, q: built.append(q) or over_prime_field(c, q)),
+        Jacobian, "over_reduction",
+        classmethod(lambda cls, red: built.append(red.p) or over_reduction(red)),
     )
     verdict = torsion_decide(point, curve, QTRIV, 7, split_places(QTRIV, 7)[0])
     monkeypatch.undo()
