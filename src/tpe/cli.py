@@ -17,7 +17,7 @@ import json
 import sys
 
 from tpe import docio
-from tpe.curve import make_curve, reduce_curve
+from tpe.curve import has_good_reduction, make_curve, reduce_curve
 from tpe.docio import DocumentError, dumps_canonical
 from tpe.envelope import TPEDocument, theorem_conclusion, verify_tpe
 from tpe.families import (
@@ -229,8 +229,8 @@ def cmd_torsion(args) -> int:
         tower = docio.tower_from_obj(json.load(fh))
     point = docio.point_from_obj(json.loads(args.point), tower)
     places = split_places(tower, args.p)
-    no_split = f"p = {args.p} does not split completely"
-    reason = reduce_curve(curve, args.p).reason if places else no_split
+    reason = f"p = {args.p} does not split completely" if not places else (
+        None if has_good_reduction(curve, args.p) else f"bad reduction at {args.p}")
     if reason:
         _emit(args, {"verdict": "inapplicable", "reason": reason}, f"inapplicable: {reason}")
         return EXIT_INAPPLICABLE

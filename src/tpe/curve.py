@@ -80,13 +80,11 @@ def make_curve(f: Poly, allow_low_genus: bool = False) -> HyperellipticCurve:
 
 @dataclass(frozen=True)
 class CurveModP:
-    """C mod p, built once per (curve, p) by `reduce_curve`: the field,
-    f mod p (`fp`, None when f is not p-integral) and disc(f mod p) (0 when
-    f mod p loses the degree of f).  `count`, #C(F_p) = sum over x of
-    1 + legendre(f(x)) plus the points at infinity, and `roots`, the roots
-    of f mod p in ascending order, come from one pass on first use (two
-    threads may both count, with one result) and refuse bad reduction with
-    ValueError."""
+    """C mod p, built once per (curve, p) by `reduce_curve`: the field, f mod p
+    (`fp`, None when f is not p-integral) and disc(f mod p) (0 when f mod p
+    loses the degree of f).  `count`, #C(F_p), and `roots`, the roots of
+    f mod p in ascending order, come from one pass on first use (two threads
+    may both count, with one result); both refuse bad reduction (ValueError)."""
 
     curve: HyperellipticCurve
     field: PrimeField
@@ -242,7 +240,8 @@ def reduce_point(
     w: ResidueAssignment,
     sqrt_lc: TowerElement | None = None,
 ) -> ReducedPoint:
-    """Coordinate-wise reduction at the place w, on C mod w.p or a curve.
+    """Coordinate-wise reduction at the place w, on C mod w.p (`reduce_curve`;
+    a bare curve is reduced here, a convenience for one-off calls).
 
     Even-model infinities need the declared square root of lc(f) to pick the
     correct branch mod p.  Raises NonIntegralError when a coordinate is not

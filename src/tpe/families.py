@@ -30,6 +30,7 @@ from tpe.curve import (
     AFFINE,
     CurvePoint,
     count_points_mod_p,
+    has_good_reduction,
     make_curve,
 )
 from tpe.envelope import (
@@ -165,13 +166,12 @@ def generate_cd(
             "is not unique"
         )
     p = 11
-    f = Poly.over_q([d, 0, 0, 0, 0, 1])
-    r = d % p
-    if r == 0:
+    curve = make_curve(Poly.over_q([d, 0, 0, 0, 0, 1]))
+    if not has_good_reduction(curve, p):  # disc(x^5 + d) = 5^5 d^4: p | d
         return Inapplicable(
             reason=f"p = {p} divides d = {d}: the curve has bad reduction at {p}",
         )
-    curve = make_curve(f)
+    r = d % p
     if r not in (1, 7, 9):
         count = count_points_mod_p(curve, p)
         return Inapplicable(

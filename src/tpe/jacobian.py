@@ -128,22 +128,24 @@ class MumfordDivisor:
 
 
 class Jacobian:
-    """The divisor class group of an odd-model curve over an exact field,
-    built by `over_reduction` or `over_prime_field` (F_p, ints), `over_tower`
-    or `over_q`: Q (`QQ`, plain Fractions, also for a tower with no
-    generator) or a one-generator tower.  The one test is that f keeps its
-    odd degree in the field: it refuses even models and a p dividing lc(f)."""
+    """The divisor class group of an odd-model curve over an exact field: F_p
+    (ints) as C mod p (`over_reduction`, `over_prime_field`; a bare PrimeField
+    is reduced here), Q (`QQ`, plain Fractions, also for a tower with no
+    generator) or a one-generator tower (`over_tower`, `over_q`).  The one test
+    is that f keeps its odd degree in the field: it refuses even models and p | lc(f)."""
 
-    def __init__(self, curve: HyperellipticCurve, field, height_ceiling=None, reduction=None):
-        f = reduction.f if reduction else curve.f.map_domain(field)
+    def __init__(self, curve: HyperellipticCurve, field, height_ceiling=None):
+        if isinstance(field, PrimeField):
+            field = reduce_curve(curve, field.p)
+        self.reduction = field if isinstance(field, CurveModP) else None
+        f = field.f if self.reduction else curve.f.map_domain(field)
         if not curve.odd_model or f.degree != curve.degree:
             raise ValueError("Cantor arithmetic needs an odd-degree model")
         self.curve = curve
-        self.field = field
+        self.field = field.field if self.reduction else field
         self.f = f
         self.genus = curve.genus
         self.height_ceiling = height_ceiling
-        self.reduction = reduction
 
     @classmethod
     def over_prime_field(cls, curve: HyperellipticCurve, p: int) -> "Jacobian":
@@ -151,7 +153,7 @@ class Jacobian:
 
     @classmethod
     def over_reduction(cls, red: CurveModP) -> "Jacobian":
-        return cls(red.curve, red.field, reduction=red)
+        return cls(red.curve, red)
 
     @classmethod
     def over_tower(

@@ -24,6 +24,7 @@ from tpe.algebra import (
     is_squarefree,
     power,
     roots_mod_p,
+    splits_completely_mod_p,
 )
 
 
@@ -380,10 +381,9 @@ def split_places(tower: TowerSpec, p: int) -> list[ResidueAssignment]:
                 f"p = {p} divides the discriminant of the relation "
                 f"for {name!r} (ramified); rejected"
             )
-        roots = roots_mod_p(rp)  # distinct, so deg of them split the relation
-        if len(roots) != relation.degree:
+        if not splits_completely_mod_p(relation, p):  # O(log p), before the O(p) roots
             return []
-        root_lists.append(roots)
+        root_lists.append(roots_mod_p(rp))  # ascending
     return [
         ResidueAssignment(p, combo)
         for combo in itertools.product(*root_lists)

@@ -381,9 +381,10 @@ def _spy_on_reductions(monkeypatch, f):
 
 def test_one_reduction_of_the_curve_per_prime(monkeypatch):
     """One verify_tpe of cd d = 100, dd p = 199 and xpx p = 67 reduces f
-    (as C mod p) and takes disc(f mod p) once, builds two fields (C mod p and the split
-    places; 12 / 7 / 6 when each check built its own) and runs no x^p
-    splitting test.  One torsion_decide of the quintic class (-1, 1) at
+    (as C mod p) and takes disc(f mod p) once.  The only x^p splitting tests
+    are split_places' one per tower generator, none for an attested split of
+    f; with their fields that makes 4 / 2 / 2 fields (12 / 7 / 6 when each
+    check built its own).  One torsion_decide of the quintic class (-1, 1) at
     p = 1009 does the same once at each of its three primes, with four
     fields (13 before)."""
     for doc in (generate_cd(100), generate_dd(199, 199), generate_xpx(67)):
@@ -394,7 +395,9 @@ def test_one_reduction_of_the_curve_per_prime(monkeypatch):
         families = sum(getattr(entry, "h", None) is doc.curve.f for entry in doc.entries)
         assert work["reduced"] == [doc.p] * (1 + families), (doc.p, work)
         assert work["disc"] == [doc.p], (doc.p, work)
-        assert work["split tests"] == [] and work["fields"] == [doc.p, doc.p], (doc.p, work)
+        k = doc.tower.k
+        assert work["split tests"] == [doc.p] * k, (doc.p, work)
+        assert work["fields"] == [doc.p] * (2 + k), (doc.p, work)
 
     q = TowerSpec()
     quintic = make_curve(qp(3, 1, 0, 0, 0, 1))

@@ -110,6 +110,15 @@ def test_over_prime_field_needs_an_odd_model_of_the_same_degree(coeffs):
             Jacobian.over_q(curve)
 
 
+def test_a_jacobian_over_a_prime_field_holds_c_mod_p():
+    """F_p enters a Jacobian as C mod p, also when a bare PrimeField is
+    passed, so the order search finds its count and class there."""
+    jac = Jacobian(C9, PrimeField(11))
+    assert isinstance(jac.reduction, CurveModP) and jac.reduction.p == 11
+    assert jac.field == PrimeField(11) and jac.f == Jacobian.over_prime_field(C9, 11).f
+    assert divisor_order(jac, jac.embed(ReducedPoint("affine", x=0, y=3))) == 5
+
+
 def test_embed_rejects_off_curve_points():
     jac = Jacobian.over_q(C9)
     with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from tpe.tower import (
     split_places,
     tower_invert,
 )
+import tpe.tower as tower_module
 
 
 def quad(d):
@@ -114,6 +115,15 @@ def test_split_places_quadratic():
     places = split_places(t, 7)
     assert [w.residues for w in places] == [(1,), (6,)]
     assert split_places(quad(2), 11) == []  # 2 is a non-residue mod 11
+
+
+def test_split_places_rejects_a_prime_that_does_not_split_before_listing_roots(monkeypatch):
+    """The x^p test (O(log p)) turns a non-split p away; the O(p) roots pass
+    runs only once p splits."""
+    listed = []
+    monkeypatch.setattr(tower_module, "roots_mod_p", lambda g: listed.append(g) or [])
+    assert split_places(quad(2), 1000003) == []  # 1000003 = 3 mod 8: 2 is a non-residue
+    assert listed == []
 
 
 def test_split_places_cartesian_product():
